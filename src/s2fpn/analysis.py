@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import blas_threads, thread_limit
 from .counting import current_counter, set_counter
 from .tensor import Tensor, no_grad
 
@@ -77,6 +78,14 @@ class LatencyStats:
     p95_ms: float
     fps: float
     samples: int
+    threads: int | None = None  # BLAS threads read back while timing; None if unknown
+
+    def to_text(self) -> str:
+        threads = "unknown" if self.threads is None else self.threads
+        return (
+            f"mean {self.mean_ms:.2f} ms  p50 {self.p50_ms:.2f} ms  p95 {self.p95_ms:.2f} ms  "
+            f"fps {self.fps:.2f}  ({self.samples} samples, BLAS threads {threads})"
+        )
 
 
 @dataclass
@@ -112,11 +121,7 @@ class AnalysisReport:
             f"{self.total_macs / 1e9:>12.3f}"
         )
         if self.latency is not None:
-            s = self.latency
-            lines.append(
-                f"latency: mean {s.mean_ms:.2f} ms  p50 {s.p50_ms:.2f} ms  "
-                f"p95 {s.p95_ms:.2f} ms  fps {s.fps:.2f}  ({s.samples} samples)"
-            )
+            lines.append(f"latency: {self.latency.to_text()}")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
@@ -188,7 +193,8 @@ def benchmark_latency(
     try:
         # untrained nets amplify activations without learned norm stats;
         # the values don't matter for timing, so silence overflow noise
-        with _thread_limit(threads), no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        with thread_limit(threads), no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            threads_used = blas_threads()
             for _ in range(warmup):
                 model(x)
             for _ in range(iters):
@@ -205,18 +211,5 @@ def benchmark_latency(
         p95_ms=float(np.percentile(arr, 95)),
         fps=1000.0 / mean,
         samples=len(samples_ms),
+        threads=threads_used,
     )
-
-
-@contextlib.contextmanager
-def _thread_limit(threads: int | None):
-    if threads is None:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover
-        yield
-        return
-    with threadpool_limits(limits=threads):
-        yield

@@ -7,13 +7,13 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import benchmark_latency, count_flops
+from .blas import thread_limit
 from .config import RunConfig, parse_config
 from .dataset import Palette, SegDataset, load_palette
 from .errors import (
@@ -200,11 +200,7 @@ def cmd_analyze(args) -> int:
             model, shape, warmup=args.warmup, iters=args.iters, seed=cfg.seed,
             threads=args.threads,
         )
-        print(
-            f"latency ({args.threads} threads): mean {parallel.mean_ms:.2f} ms  "
-            f"p50 {parallel.p50_ms:.2f} ms  p95 {parallel.p95_ms:.2f} ms  "
-            f"fps {parallel.fps:.2f}  ({parallel.samples} samples)"
-        )
+        print(f"latency (--threads {args.threads}): {parallel.to_text()}")
     if args.csv:
         Path(args.csv).write_text(report.to_csv() + "\n")
         print(f"csv written to {args.csv}")
@@ -232,20 +228,6 @@ _COMMANDS = {
 }
 
 
-@contextlib.contextmanager
-def _thread_cap(threads):
-    if not threads:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover
-        yield
-        return
-    with threadpool_limits(limits=threads):
-        yield
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -253,7 +235,7 @@ def main(argv=None) -> int:
         if args.f64:
             set_default_dtype(np.float64)
         try:
-            with _thread_cap(args.threads):
+            with thread_limit(args.threads):
                 return _COMMANDS[args.command](args)
         finally:
             if args.f64:

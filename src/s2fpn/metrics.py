@@ -30,7 +30,10 @@ class ConfusionMatrix:
         keep = ground_truth != self.ignore_index
         gt = ground_truth[keep].astype(np.int64)
         pred = prediction[keep].astype(np.int64)
-        if gt.size and (gt.max() >= self.num_classes or pred.max() >= self.num_classes):
+        if gt.size and (
+            min(gt.min(), pred.min()) < 0
+            or max(gt.max(), pred.max()) >= self.num_classes
+        ):
             raise ShapeError(
                 f"class id out of range for {self.num_classes} classes"
             )

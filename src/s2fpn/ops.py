@@ -350,34 +350,45 @@ def bilinear_upsample(x, out_h: int, out_w: int) -> Tensor:
 # convolution (cross-correlation, no kernel flip)
 
 
+def _pointwise(kh: int, kw: int, stride: int, padding: int) -> bool:
+    return kh == kw == stride == 1 and padding == 0
+
+
 def _im2col(data: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
+    """Columns laid out (C*kh*kw, N*oH*oW): one GEMM covers the whole batch."""
     n, c, h, w = data.shape
+    if _pointwise(kh, kw, stride, padding):
+        # rows are the channels; a view when N == 1, one transpose copy otherwise
+        return np.ascontiguousarray(data.transpose(1, 0, 2, 3)).reshape(c, n * h * w)
     if padding:
         data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     windows = np.lib.stride_tricks.sliding_window_view(data, (kh, kw), axis=(2, 3))
     windows = windows[:, :, : (oh - 1) * stride + 1 : stride, : (ow - 1) * stride + 1 : stride]
-    # (N, C, oH, oW, kh, kw) -> (N, C, kh, kw, oH*oW)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, kh, kw, oh * ow)
-    return np.ascontiguousarray(cols)
+    # (N, C, oH, oW, kh, kw) -> (C, kh, kw, N, oH, oW)
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
+    """Scatter-add (C*kh*kw, N*oH*oW) columns back onto an (N, C, H, W) image."""
     n, c, h, w = x_shape
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    if _pointwise(kh, kw, stride, padding):
+        return np.ascontiguousarray(cols.reshape(c, n, h, w).transpose(1, 0, 2, 3))
+    padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(c, kh, kw, n, oh, ow)
     for i in range(kh):
         for j in range(kw):
-            padded[:, :, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride] += cols[:, :, i, j]
-    if padding:
-        return np.ascontiguousarray(padded[:, :, padding : padding + h, padding : padding + w])
-    return padded
+            padded[:, :, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride] += cols[:, i, j]
+    padded = padded[:, :, padding : padding + h, padding : padding + w]
+    return np.ascontiguousarray(padded.transpose(1, 0, 2, 3))
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-D cross-correlation with optional channel groups.
 
     weight: (outC, inC/groups, kH, kW); output height/width follow
-    floor((size + 2*padding - kernel) / stride) + 1.
+    floor((size + 2*padding - kernel) / stride) + 1. Each group runs one
+    GEMM over the whole batch; only `x` is kept for backward, which
+    re-forms the im2col columns from it.
     """
     x = as_tensor(x)
     weight = as_tensor(weight, dtype=x.dtype.type)
@@ -406,29 +417,32 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
             f"kernel {kh}x{kw} (stride {stride}, padding {padding}) does not fit input {x.shape}"
         )
     og = out_c // groups
-    length = oh * ow
-    cols = _im2col(x.data, kh, kw, stride, padding, oh, ow)
-    cols_g = cols.reshape(n, groups, cg * kh * kw, length)
-    w_g = weight.data.reshape(groups, og, cg * kh * kw)
-    out = np.matmul(w_g, cols_g)  # (N, groups, og, L)
-    out = out.reshape(n, out_c, oh, ow)
+    k = cg * kh * kw
+    length = n * oh * ow
+    x_data = x.data
+    w_g = weight.data.reshape(groups, og, k)
+
+    def columns():
+        return _im2col(x_data, kh, kw, stride, padding, oh, ow).reshape(groups, k, length)
+
+    out = np.matmul(w_g, columns())  # (groups, og, N*L)
+    out = np.ascontiguousarray(out.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3))
     if bias is not None:
-        out = out + bias.data.reshape(1, out_c, 1, 1)
-    out = np.ascontiguousarray(out)
+        out += bias.data.reshape(1, out_c, 1, 1)
 
     def backward(g):
-        g_g = g.reshape(n, groups, og, length)
-        grad_w = np.matmul(g_g, cols_g.transpose(0, 1, 3, 2)).sum(axis=0)
-        grad_w = np.ascontiguousarray(grad_w.reshape(weight.shape))
+        g_g = np.ascontiguousarray(g.reshape(n, out_c, oh * ow).transpose(1, 0, 2))
+        g_g = g_g.reshape(groups, og, length)
+        grad_w = np.matmul(g_g, columns().transpose(0, 2, 1)).reshape(weight.shape)
         grad_cols = np.matmul(w_g.transpose(0, 2, 1), g_g)
         grad_x = _col2im(
-            grad_cols.reshape(n, c, kh, kw, length), x.shape, kh, kw, stride, padding, oh, ow
+            grad_cols.reshape(c * kh * kw, length), x.shape, kh, kw, stride, padding, oh, ow
         )
         grad_b = None if bias is None else np.ascontiguousarray(g.sum(axis=(0, 2, 3)))
         return grad_x, grad_w, grad_b
 
     out_els = n * out_c * oh * ow
-    add_flops(2 * out_els * (cg * kh * kw) + (out_els if bias is not None else 0))
+    add_flops(2 * out_els * k + (out_els if bias is not None else 0))
     return _make(out, (x, weight, bias), backward, "conv2d")
 
 

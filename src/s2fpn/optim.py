@@ -48,22 +48,43 @@ class Adam:
             p.zero_grad()
 
     def step(self, lr: float) -> None:
+        """One update written into two scratch buffers with `out=` ufuncs.
+
+        The buffers are sized to the largest parameter and shared by all of
+        them, so a step allocates twice that size and no per-parameter
+        temporaries. The operation order is fixed for bit-exact resume:
+        (m/bc1) / (sqrt(v/bc2) + eps), then + wd*theta, then * lr.
+        """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
+        scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 continue
+            if m.dtype not in scratch:
+                size = max(x.size for x in self._m)
+                scratch[m.dtype] = (np.empty(size, m.dtype), np.empty(size, m.dtype))
+            a, b = (buf[: m.size].reshape(m.shape) for buf in scratch[m.dtype])
+            np.multiply(g, 1.0 - self.beta1, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += a
+            np.square(g, out=a)
+            a *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += a
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bc1, out=b)
+            b /= a
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= lr * update.astype(p.dtype)
+                np.multiply(p.data, self.weight_decay, out=a)
+                b += a
+            b *= lr
+            p.data -= b
 
     def state_entries(self):
         """Named arrays for checkpointing alongside the model."""

@@ -73,24 +73,27 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     if not payload.startswith(MAGIC):
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
     pos = len(MAGIC)
-    (count,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
-    records = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", payload, pos)
-        pos += 2
-        name = payload[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (code,) = struct.unpack_from("<B", payload, pos)
-        pos += 1
-        shape = struct.unpack_from("<4I", payload, pos)
-        pos += 16
-        (offset,) = struct.unpack_from("<Q", payload, pos)
-        pos += 8
-        dtype = _DTYPE_CODES.get(code)
-        if dtype is None:
-            raise CheckpointError(f"entry {name!r} has unknown dtype code {code}")
-        records.append((name, dtype, shape, offset))
+    try:
+        (count,) = struct.unpack_from("<I", payload, pos)
+        pos += 4
+        records = []
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", payload, pos)
+            pos += 2
+            name = payload[pos : pos + name_len].decode("utf-8")
+            pos += name_len
+            (code,) = struct.unpack_from("<B", payload, pos)
+            pos += 1
+            shape = struct.unpack_from("<4I", payload, pos)
+            pos += 16
+            (offset,) = struct.unpack_from("<Q", payload, pos)
+            pos += 8
+            dtype = _DTYPE_CODES.get(code)
+            if dtype is None:
+                raise CheckpointError(f"entry {name!r} has unknown dtype code {code}")
+            records.append((name, dtype, shape, offset))
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path} has a truncated or corrupt manifest: {exc}") from exc
     data_start = pos
     out: dict[str, np.ndarray] = {}
     for name, dtype, shape, offset in records:

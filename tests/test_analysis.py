@@ -12,6 +12,7 @@ from s2fpn.analysis import (
     flop_counting,
 )
 from s2fpn.backbone import build_backbone
+from s2fpn.blas import blas_threads, thread_limit
 from s2fpn.model import S2FPN
 from s2fpn.nn import Conv2d, Module
 from s2fpn.serialize import save_model, read_checkpoint
@@ -105,6 +106,24 @@ def test_latency_reports_requested_samples():
     assert stats.mean_ms > 0
     assert stats.fps == pytest.approx(1000.0 / stats.mean_ms)
     assert stats.p50_ms <= stats.p95_ms
+
+
+def test_thread_limit_reads_back_one_and_restores():
+    before = blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS found in this process")
+    with thread_limit(1):
+        assert blas_threads() == 1
+    assert blas_threads() == before
+
+
+def test_latency_report_states_threads_read_back():
+    if blas_threads() is None:
+        pytest.skip("no OpenBLAS found in this process")
+    model = S2FPN("r18", pyramid_width=64, num_classes=5, seed=0)
+    stats = benchmark_latency(model, (1, 3, 64, 64), warmup=0, iters=1, seed=0, threads=1)
+    assert stats.threads == 1
+    assert "BLAS threads 1" in stats.to_text()
 
 
 def test_latency_non_increasing_with_area():

@@ -222,6 +222,14 @@ class TestCliCommands:
         cfg.write_text(f"dataset = {tmp_path / 'nowhere'}\n")
         assert main(["--config", str(cfg), "train"]) == 2
 
+    def test_truncated_checkpoint_is_data_error(self, toy_setup, tmp_path, capsys):
+        base, root, config = toy_setup
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((base / "run" / "final.ckpt").read_bytes()[:16])
+        code = main(["--config", str(config), "eval", str(cut), "--split", "val"])
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
+
     def test_console_script_entry(self):
         result = subprocess.run(
             [sys.executable, "-m", "s2fpn.cli", "gradcheck", "ssam", "--seeds", "1"],

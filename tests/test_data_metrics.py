@@ -126,6 +126,19 @@ class TestConfusionMatrix:
         assert m.iou()[0] == 0.0
         assert m.mean_iou() == 0.0
 
+    def test_negative_label_rejected(self):
+        m = ConfusionMatrix(3)
+        with pytest.raises(ShapeError, match="out of range"):
+            m.add(np.array([0, 1]), np.array([0, -1]))
+        assert m.total == 0
+
+    def test_negative_prediction_rejected(self):
+        # gt 1 with pred -1 would otherwise land in cell (0, 2)
+        m = ConfusionMatrix(3)
+        with pytest.raises(ShapeError, match="out of range"):
+            m.add(np.array([0, -1]), np.array([0, 1]))
+        assert m.total == 0
+
     def test_ignore_label_excluded(self):
         m = ConfusionMatrix(2, ignore_index=255)
         gt = np.array([0, 1, 255, 255])

@@ -205,6 +205,26 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_steps_bit_equal_to_update_written_out(self):
+        b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.05
+        rng = np.random.default_rng(11)
+        start = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        grads = [rng.standard_normal(start.shape).astype(np.float32) for _ in range(3)]
+        theta = Parameter(start.copy())
+        opt = Adam([theta], beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        ref, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for step, (g, lr) in enumerate(zip(grads, (1e-2, 5e-3, 2e-3)), start=1):
+            theta.grad = g.copy()
+            opt.step(lr)
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * np.square(g)
+            update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+            update = update + wd * ref
+            ref = ref - lr * update
+            assert theta.data.dtype == ref.dtype == np.float32
+            assert np.array_equal(theta.data, ref), f"step {step}"
+        assert np.array_equal(opt._m[0], m) and np.array_equal(opt._v[0], v)
+
     def test_decoupled_weight_decay_shrinks_params(self):
         with using_dtype(np.float64):
             theta = Parameter(np.array(10.0))

@@ -48,6 +48,16 @@ def test_magic_and_reject_garbage(tmp_path):
         read_checkpoint(bad)
 
 
+@pytest.mark.parametrize("keep", [12, 16, 20, 40])
+def test_truncated_manifest_raises_checkpoint_error(tmp_path, keep):
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path, {"layer.weight": np.zeros((2, 3), dtype=np.float32)})
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(CheckpointError, match="truncated"):
+        read_checkpoint(cut)
+
+
 def test_model_round_trip_identical_forward(tmp_path):
     from s2fpn import Tensor, no_grad
 

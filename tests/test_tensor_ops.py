@@ -1,10 +1,13 @@
 """Forward-kernel behaviour against hand values and brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from s2fpn import Tensor, ops
+from s2fpn import Parameter, Tensor, ops, tape, using_dtype
 from s2fpn.errors import ShapeError, StateError
+from s2fpn.gradcheck import grad_check
 
 from oracles import (
     bilinear_ref,
@@ -73,6 +76,64 @@ class TestConv2d:
         w = t(np.zeros((1, 1, 5, 5)))
         with pytest.raises(ShapeError, match="does not fit"):
             ops.conv2d(x, w)
+
+
+class TestConv2dBatch:
+    """Batch > 1, where the whole batch shares one GEMM per group."""
+
+    CASES = {
+        "3x3": dict(k=3, stride=1, padding=1, groups=1, bias=True),
+        "3x3-stride2": dict(k=3, stride=2, padding=1, groups=1, bias=False),
+        "7x7-stem": dict(k=7, stride=2, padding=3, groups=1, bias=False),
+        "1x1": dict(k=1, stride=1, padding=0, groups=1, bias=True),
+        "1x1-stride2": dict(k=1, stride=2, padding=0, groups=1, bias=False),
+        "depthwise": dict(k=3, stride=1, padding=1, groups=4, bias=False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_oracle_and_finite_differences(self, case):
+        spec = self.CASES[case]
+        rng = np.random.default_rng(len(case))
+        k = spec["k"]
+        x = rng.standard_normal((3, 4, 7, 6))
+        w = rng.standard_normal((4, 4 // spec["groups"], k, k)) * 0.5
+        b = rng.standard_normal(4) * 0.5 if spec["bias"] else None
+        kw = dict(stride=spec["stride"], padding=spec["padding"], groups=spec["groups"])
+        out = ops.conv2d(t(x), t(w), None if b is None else t(b), **kw)
+        np.testing.assert_allclose(out.data, conv2d_ref(x, w, b, **kw), atol=1e-4)
+
+        with using_dtype(np.float64):
+            xp, wp = Parameter(x), Parameter(w)
+            wrt = {"x": xp, "w": wp}
+            bp = None
+            if b is not None:
+                bp = wrt["b"] = Parameter(b)
+
+            def loss():
+                y = ops.conv2d(xp, wp, bp, **kw)
+                return ops.tensor_sum(y * y)
+
+            res = grad_check(loss, wrt)
+        tape().reset()
+        assert res.max_rel_err < 1e-4, f"{case}: {res}"
+
+    def test_grad_forward_keeps_only_its_input(self):
+        # backward re-forms the im2col columns from x, so the tape holds no
+        # copy of them: beyond the output, less than the input stays alive
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((2, 16, 24, 24)).astype(np.float32), requires_grad=True)
+        w = Parameter(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
+        tape().reset()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(x, w, stride=1, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert len(tape()) == 1
+        tape().reset()
+        assert held < x.data.nbytes, f"{held} bytes held beyond the output"
 
 
 class TestBatchNorm:

@@ -12,15 +12,11 @@ class GlobalFeatureUpsample(Module):
     """Upsample the deep adapter feature to the fine pyramid resolution,
     squeeze it to a per-channel global context vector, add that context to
     the projected pyramid feature, and refine.
-
-    `plain_fusion` switches the projection/refinement convs to their bare
-    (no BN/ReLU, no context conv) forms for ablation.
     """
 
-    def __init__(self, channels: int, rng=None, plain_fusion: bool = False):
+    def __init__(self, channels: int, rng=None):
         super().__init__()
         self.channels = channels
-        self.plain_fusion = plain_fusion
         self.pre_conv = Conv2d(channels, channels, 1, bias=True, rng=rng)
         self.ctx_conv = Conv2d(channels, channels, 1, bias=True, rng=rng)
         self.apf_conv = ConvBNReLU(channels, channels, 1, rng=rng)
@@ -34,9 +30,6 @@ class GlobalFeatureUpsample(Module):
             )
         up = ops.relu(ops.bilinear_upsample(x_deep, x_pyramid.shape[2], x_pyramid.shape[3]))
         pooled = ops.global_avg_pool(self.pre_conv(up))
-        if self.plain_fusion:
-            fused = pooled + self.apf_conv.conv(x_pyramid)
-            return self.out_conv.conv(fused)
         ctx = self.ctx_conv(pooled)
         branch = self.apf_conv(x_pyramid)
         fused = ctx + branch

@@ -20,11 +20,6 @@ class OhemConfig:
     min_kept: int = 1
     ignore_index: int = 255
 
-    @staticmethod
-    def for_crop(crop_h: int, crop_w: int, threshold: float = 0.7, ignore_index: int = 255) -> "OhemConfig":
-        # keep-floor scales with the crop: 1/16 of its pixels
-        return OhemConfig(threshold, max(1, crop_h * crop_w // 16), ignore_index)
-
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -132,12 +132,13 @@ def tensor_mean(x) -> Tensor:
 
 
 def relu(x) -> Tensor:
+    """max(x, 0) in one pass; NaN propagates. Backward reads its mask off
+    the output, so the tape keeps nothing beyond it."""
     x = as_tensor(x)
-    mask = x.data > 0
-    data = np.where(mask, x.data, 0)
+    data = np.maximum(x.data, 0)
 
     def backward(g):
-        return (np.ascontiguousarray(g * mask),)
+        return (g * (data > 0),)
 
     add_flops(x.size)
     return _make(data, (x,), backward, "relu")
@@ -268,7 +269,23 @@ def global_avg_pool(x) -> Tensor:
     return _make(data, (x,), backward, "global_avg_pool")
 
 
+def _pool_taps(size: int, out: int, kernel: int, stride: int, padding: int):
+    """Per kernel offset: the output slice whose window tap lands inside the
+    input along one axis, and the matching strided input slice."""
+    taps = []
+    for i in range(kernel):
+        lo = max(0, -(-(padding - i) // stride))
+        hi = min(out, (size - 1 + padding - i) // stride + 1)
+        start = lo * stride + i - padding
+        if hi > lo:
+            taps.append((slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return taps
+
+
 def max_pool(x, kernel: int, stride: int, padding: int = 0) -> Tensor:
+    """Max over k x k windows as k² strided `np.maximum` passes; padding
+    acts as -inf. Backward recomputes the routing to the first maximum of
+    each window (row-major tap order) from `x` and the output."""
     x = as_tensor(x)
     _require_nchw(x, "max_pool")
     n, c, h, w = x.shape
@@ -276,25 +293,25 @@ def max_pool(x, kernel: int, stride: int, padding: int = 0) -> Tensor:
     ow = (w + 2 * padding - kernel) // stride + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"max_pool window {kernel} does not fit input {x.shape}")
-    neg = np.array(-np.inf, dtype=x.dtype)
-    padded = np.pad(
-        x.data,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        constant_values=neg,
-    )
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, : (oh - 1) * stride + 1 : stride, : (ow - 1) * stride + 1 : stride]
-    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
-    idx = flat.argmax(axis=4)
-    data = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
+    taps = [
+        (oi, oj, ii, ij)
+        for oi, ii in _pool_taps(h, oh, kernel, stride, padding)
+        for oj, ij in _pool_taps(w, ow, kernel, stride, padding)
+    ]
+    data = np.full((n, c, oh, ow), -np.inf, dtype=x.dtype)
+    for oi, oj, ii, ij in taps:
+        dst = data[:, :, oi, oj]
+        np.maximum(dst, x.data[:, :, ii, ij], out=dst)
 
     def backward(g):
-        gp = np.zeros_like(padded)
-        ph = idx // kernel + np.arange(oh)[:, None] * stride
-        pw = idx % kernel + np.arange(ow)[None, :] * stride
-        nn, cc = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-        np.add.at(gp, (nn[:, :, None, None], cc[:, :, None, None], ph, pw), g)
-        return (np.ascontiguousarray(gp[:, :, padding : padding + h, padding : padding + w]),)
+        gx = np.zeros_like(x.data)
+        pending = np.ones(data.shape, dtype=bool)
+        for oi, oj, ii, ij in taps:
+            open_ = pending[:, :, oi, oj]
+            hit = (x.data[:, :, ii, ij] == data[:, :, oi, oj]) & open_
+            open_ &= ~hit
+            gx[:, :, ii, ij] += np.where(hit, g[:, :, oi, oj], 0)
+        return (gx,)
 
     add_flops(kernel * kernel * data.size)
     return _make(data, (x,), backward, "max_pool")
@@ -350,6 +367,11 @@ def bilinear_upsample(x, out_h: int, out_w: int) -> Tensor:
 # convolution (cross-correlation, no kernel flip)
 
 
+# im2col bytes per forward GEMM: about half of a 2 MiB L2, so a band's
+# columns are still cached when its GEMM reads them
+_BAND_BYTES = 1 << 20
+
+
 def _pointwise(kh: int, kw: int, stride: int, padding: int) -> bool:
     return kh == kw == stride == 1 and padding == 0
 
@@ -382,13 +404,41 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: i
     return np.ascontiguousarray(padded.transpose(1, 0, 2, 3))
 
 
+def _conv_bands(data, w_g, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
+    """Forward GEMMs over bands of output rows whose columns fit in
+    `_BAND_BYTES`, so each GEMM reads its columns while they are still in
+    cache. One band is the single GEMM over the whole map. Each output is
+    the same dot product either way; BLAS rounds it alike wherever a band
+    spans whole blocks of its GEMM kernel's columns (16 in OpenBLAS sgemm),
+    as rows of any power-of-two width from 16 up do."""
+    n, c = data.shape[:2]
+    groups, og, k = w_g.shape
+    if padding:
+        data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # at least `og` columns per band, so repacking the weights for each
+    # band's GEMM moves no more bytes than the band's own columns
+    band = max(1, _BAND_BYTES // (c * kh * kw * n * ow * data.itemsize), -(-og // (n * ow)))
+    out = np.empty((n, groups, og, oh * ow), dtype=data.dtype)
+    for r0 in range(0, oh, band):
+        rows = min(band, oh - r0)
+        src = data[:, :, r0 * stride : (r0 + rows - 1) * stride + kh]
+        cols = _im2col(src, kh, kw, stride, 0, rows, ow).reshape(groups, k, n * rows * ow)
+        dst = out[:, :, :, r0 * ow : (r0 + rows) * ow]
+        if n == 1:
+            np.matmul(w_g, cols, out=dst[0])  # straight into the output rows
+        else:
+            dst[...] = np.matmul(w_g, cols).reshape(groups, og, n, rows * ow).transpose(2, 0, 1, 3)
+    return out.reshape(n, groups * og, oh, ow)
+
+
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-D cross-correlation with optional channel groups.
 
     weight: (outC, inC/groups, kH, kW); output height/width follow
     floor((size + 2*padding - kernel) / stride) + 1. Each group runs one
-    GEMM over the whole batch; only `x` is kept for backward, which
-    re-forms the im2col columns from it.
+    GEMM over the whole batch per band of output rows (one band when the
+    columns fit in `_BAND_BYTES`); only `x` is kept for backward, which
+    re-forms the full im2col columns from it.
     """
     x = as_tensor(x)
     weight = as_tensor(weight, dtype=x.dtype.type)
@@ -425,8 +475,11 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     def columns():
         return _im2col(x_data, kh, kw, stride, padding, oh, ow).reshape(groups, k, length)
 
-    out = np.matmul(w_g, columns())  # (groups, og, N*L)
-    out = np.ascontiguousarray(out.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3))
+    if _pointwise(kh, kw, stride, padding):
+        out = np.matmul(w_g, columns())  # (groups, og, N*L)
+        out = np.ascontiguousarray(out.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3))
+    else:
+        out = _conv_bands(x_data, w_g, kh, kw, stride, padding, oh, ow)
     if bias is not None:
         out += bias.data.reshape(1, out_c, 1, 1)
 
@@ -508,15 +561,20 @@ def batch_norm(
         rv = running_var.data if isinstance(running_var, Tensor) else np.asarray(running_var)
         if rm.shape != (c,) or rv.shape != (c,):
             raise ShapeError(f"running stat shapes {rm.shape}/{rv.shape} must be ({c},)")
-        inv_std = 1.0 / np.sqrt(rv.astype(x.dtype) + eps)
-        xhat = (x.data - rm.astype(x.dtype).reshape(shape)) * inv_std.reshape(shape)
-        out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+        # subtract first, then one scale and one shift, in place on one new
+        # array; folding the mean into the shift loses digits when |mean| >> std
+        mean = rm.astype(x.dtype).reshape(shape)
+        inv_std = (1.0 / np.sqrt(rv.astype(x.dtype) + eps)).reshape(shape)
+        scale = gamma.data.reshape(shape) * inv_std
+        out = x.data - mean
+        out *= scale
+        out += beta.data.reshape(shape)
 
         def backward(g):
             grad_beta = np.ascontiguousarray(g.sum(axis=(0, 2, 3)))
+            xhat = (x.data - mean) * inv_std
             grad_gamma = np.ascontiguousarray((g * xhat).sum(axis=(0, 2, 3)))
-            grad_x = g * (gamma.data.reshape(shape) * inv_std.reshape(shape))
-            return np.ascontiguousarray(grad_x), grad_gamma, grad_beta
+            return g * scale, grad_gamma, grad_beta
 
     else:
         raise ValueError(f"batch_norm mode must be train or eval, got {mode!r}")

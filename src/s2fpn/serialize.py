@@ -16,6 +16,8 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -37,72 +39,97 @@ def _pad4(shape) -> tuple[int, int, int, int]:
 
 
 def write_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
-    """Write named arrays; iteration order of `entries` is preserved."""
+    """Write named arrays; iteration order of `entries` is preserved.
+
+    The file is written to a sibling temp file and moved over `path` only
+    once complete, so a crash mid-write leaves the previous checkpoint
+    intact.
+    """
+    path = Path(path)
     manifest = bytearray()
-    blobs: list[bytes] = []
+    arrays: list[np.ndarray] = []
     offset = 0
     for name, arr in entries.items():
         arr = np.asarray(arr)
         code = _CODE_FOR_KIND.get(np.dtype(arr.dtype).newbyteorder("<").str)
         if code is None:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for entry {name!r}")
-        raw = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
+        arr = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
         name_bytes = name.encode("utf-8")
         manifest += struct.pack("<H", len(name_bytes))
         manifest += name_bytes
         manifest += struct.pack("<B", code)
         manifest += struct.pack("<4I", *_pad4(arr.shape))
         manifest += struct.pack("<Q", offset)
-        blobs.append(raw)
-        offset += len(raw)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(entries)))
-        fh.write(bytes(manifest))
-        for raw in blobs:
-            fh.write(raw)
+        arrays.append(arr)
+        offset += arr.nbytes
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(entries)))
+            fh.write(manifest)
+            for arr in arrays:
+                fh.write(arr.reshape(-1).view(np.uint8))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _take(fh, size: int, path) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise CheckpointError(f"{path} has a truncated or corrupt manifest")
+    return raw
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read all entries; shapes come back 4-d (leading dims padded with 1)."""
+    """Read all entries; shapes come back 4-d (leading dims padded with 1).
+
+    Reads the manifest, then each entry straight into its own array, so
+    the peak memory is the arrays themselves.
+    """
     path = Path(path)
     try:
-        payload = path.read_bytes()
+        with open(path, "rb") as fh:
+            return _read_entries(fh, path, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not payload.startswith(MAGIC):
+
+
+def _read_entries(fh, path: Path, file_size: int) -> dict[str, np.ndarray]:
+    if fh.read(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-    pos = len(MAGIC)
-    try:
-        (count,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        records = []
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", payload, pos)
-            pos += 2
-            name = payload[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            (code,) = struct.unpack_from("<B", payload, pos)
-            pos += 1
-            shape = struct.unpack_from("<4I", payload, pos)
-            pos += 16
-            (offset,) = struct.unpack_from("<Q", payload, pos)
-            pos += 8
-            dtype = _DTYPE_CODES.get(code)
-            if dtype is None:
-                raise CheckpointError(f"entry {name!r} has unknown dtype code {code}")
-            records.append((name, dtype, shape, offset))
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path} has a truncated or corrupt manifest: {exc}") from exc
-    data_start = pos
+    (count,) = struct.unpack("<I", _take(fh, 4, path))
+    records = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", _take(fh, 2, path))
+        try:
+            name = _take(fh, name_len, path).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path} has a truncated or corrupt manifest: {exc}") from exc
+        code, *shape, offset = struct.unpack("<B4IQ", _take(fh, 25, path))
+        dtype = _DTYPE_CODES.get(code)
+        if dtype is None:
+            raise CheckpointError(f"entry {name!r} has unknown dtype code {code}")
+        records.append((name, dtype, tuple(shape), offset))
+    data_start = fh.tell()
     out: dict[str, np.ndarray] = {}
     for name, dtype, shape, offset in records:
-        n_bytes = int(np.prod(shape)) * dtype.itemsize
+        n_bytes = math.prod(shape) * dtype.itemsize
         start = data_start + offset
-        raw = payload[start : start + n_bytes]
-        if len(raw) != n_bytes:
+        # checked against the file size before allocating: a corrupt shape
+        # must not turn into a huge allocation
+        if start + n_bytes > file_size:
             raise CheckpointError(f"entry {name!r} is truncated")
-        out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        arr = np.empty(shape, dtype=dtype)
+        fh.seek(start)
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
+            raise CheckpointError(f"entry {name!r} is truncated")
+        out[name] = arr
     return out
 
 

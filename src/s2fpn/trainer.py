@@ -10,7 +10,7 @@ import numpy as np
 from .augment import AugmentConfig, SampleRecord, augment, rng_for_sample
 from .config import RunConfig
 from .dataset import SegDataset
-from .errors import DataError
+from .errors import DataError, NumericCheckError
 from .losses import OhemConfig, total_loss
 from .metrics import ConfusionMatrix
 from .model import S2FPN
@@ -151,6 +151,10 @@ class Trainer:
         loss, terms = total_loss(
             main, aux, labels, self.ohem, cfg.aux_weight, cfg.aux_ohem, return_terms=True
         )
+        if not np.isfinite(loss.item()):
+            # stop before backward and the update reach the parameters
+            recorder.reset()
+            raise NumericCheckError(f"non-finite loss {loss.item()} at iteration {iteration}")
         self.optimizer.zero_grad()
         recorder.backward(loss)
         self.optimizer.step(lr)

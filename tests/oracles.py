@@ -78,6 +78,26 @@ def max_pool_ref(x, kernel, stride, padding):
     return out
 
 
+def max_pool_grad_ref(x, g, kernel, stride, padding):
+    """Each window's gradient goes to its first maximum in row-major order."""
+    n, c, h, w = x.shape
+    _, _, oh, ow = g.shape
+    gx = np.zeros((n, c, h, w), dtype=np.float64)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(oh):
+                for ox in range(ow):
+                    best, at = -np.inf, None
+                    for ky in range(kernel):
+                        for kx in range(kernel):
+                            iy = oy * stride + ky - padding
+                            ix = ox * stride + kx - padding
+                            if 0 <= iy < h and 0 <= ix < w and float(x[ni, ci, iy, ix]) > best:
+                                best, at = float(x[ni, ci, iy, ix]), (iy, ix)
+                    gx[ni, ci, at[0], at[1]] += float(g[ni, ci, oy, ox])
+    return gx
+
+
 def _src_weights(n_in, n_out, dst):
     src = (dst + 0.5) * n_in / n_out - 0.5
     src = min(max(src, 0.0), n_in - 1.0)

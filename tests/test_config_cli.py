@@ -9,7 +9,7 @@ import pytest
 from s2fpn.cli import main
 from s2fpn.config import dump_config, parse_config_text
 from s2fpn.dataset import SegDataset
-from s2fpn.errors import ConfigError
+from s2fpn.errors import ConfigError, NumericCheckError
 from s2fpn.imageio import read_pgm
 from s2fpn.metrics import ConfusionMatrix
 from s2fpn.synthetic import make_toy_corpus
@@ -113,6 +113,45 @@ class TestTrainerRoundTrip:
         assert start == 2
         _, losses_resumed = resumed.train_step(start)
         assert losses_resumed[0] == pytest.approx(losses_straight[0], abs=1e-12)
+
+
+def _poison_inputs(monkeypatch):
+    """Make every training batch NaN, so the loss is NaN from step 0."""
+    real = Trainer.batch_for
+
+    def batch_for(self, iteration):
+        x, labels = real(self, iteration)
+        x.data[...] = np.nan
+        return x, labels
+
+    monkeypatch.setattr(Trainer, "batch_for", batch_for)
+
+
+class TestNonFiniteLoss:
+    def test_step_raises_before_the_update(self, toy_setup, tmp_path, monkeypatch):
+        base, root, config = toy_setup
+        from s2fpn.config import parse_config
+
+        cfg = parse_config(config)
+        cfg.out_dir = str(tmp_path / "nan")
+        trainer = Trainer(cfg, SegDataset(root))
+        trainer.train_step(0)
+        params = trainer.model.parameters()
+        before = [p.data.copy() for p in params]
+        _poison_inputs(monkeypatch)
+        with pytest.raises(NumericCheckError, match="iteration 1"):
+            trainer.train_step(1)
+        assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+        assert trainer.optimizer.step_count == 1
+
+    def test_cli_train_exits_3(self, toy_setup, tmp_path, monkeypatch, capsys):
+        base, root, config = toy_setup
+        text = config.read_text().replace(str(base / "run"), str(tmp_path / "nan"))
+        nan_config = tmp_path / "nan.cfg"
+        nan_config.write_text(text)
+        _poison_inputs(monkeypatch)
+        assert main(["--config", str(nan_config), "train"]) == 3
+        assert "non-finite loss nan at iteration 0" in capsys.readouterr().err
 
 
 class TestCliCommands:

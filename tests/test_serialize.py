@@ -1,8 +1,13 @@
 """Checkpoint format round-trips and name-matched loading."""
 
+import errno
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from s2fpn import serialize
 from s2fpn.errors import CheckpointError, ShapeError
 from s2fpn.nn import BatchNorm2d, Conv2d, Module
 from s2fpn.serialize import MAGIC, load_model, read_checkpoint, save_model, write_checkpoint
@@ -118,3 +123,81 @@ def test_low_rank_entries_pad_to_4d(tmp_path):
     write_checkpoint(path, {"v": np.arange(5, dtype=np.float32)})
     loaded = read_checkpoint(path)
     assert loaded["v"].shape == (1, 1, 1, 5)
+
+
+def test_truncated_data_section_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path, {"a": np.ones(8, dtype=np.float32), "b": np.ones(8, dtype=np.float32)})
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(CheckpointError, match="'b' is truncated"):
+        read_checkpoint(cut)
+
+
+def test_corrupt_shape_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path, {"w": np.ones(4, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    shape_at = len(MAGIC) + 4 + 2 + 1 + 1  # count, name_len, name "w", dtype
+    raw[shape_at : shape_at + 16] = struct.pack("<4I", *(4_000_000_000,) * 4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="truncated"):
+        read_checkpoint(path)
+
+
+def test_read_peak_memory_is_the_arrays(tmp_path):
+    # entries are read straight into their own arrays: no whole-file buffer
+    # and no per-entry copies
+    rng = np.random.default_rng(0)
+    path = tmp_path / "big.ckpt"
+    write_checkpoint(
+        path, {f"e{i}": rng.standard_normal((512, 512)).astype(np.float32) for i in range(16)}
+    )
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = read_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 16
+    assert peak <= 1.1 * size + 2**20, f"peak {peak} bytes for a {size}-byte file"
+
+
+class _FullDisk:
+    """File wrapper that fails with ENOSPC once `budget` bytes are written."""
+
+    def __init__(self, fh, budget):
+        self.fh = fh
+        self.budget = budget
+
+    def write(self, data):
+        view = memoryview(data).cast("B")
+        if len(view) > self.budget:
+            self.fh.write(view[: self.budget])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(view)
+        return self.fh.write(view)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "last.ckpt"
+    write_checkpoint(path, {"w": np.arange(1000, dtype=np.float32)})
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        serialize, "open", lambda file, mode: _FullDisk(open(file, mode), 100), raising=False
+    )
+    with pytest.raises(OSError, match="No space"):
+        write_checkpoint(path, {"w": np.zeros(1000, dtype=np.float32)})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]

@@ -8,12 +8,14 @@ import pytest
 from s2fpn import Parameter, Tensor, ops, tape, using_dtype
 from s2fpn.errors import ShapeError, StateError
 from s2fpn.gradcheck import grad_check
+from s2fpn.ops import _im2col
 
 from oracles import (
     bilinear_ref,
     broadcast_ref,
     conv2d_ref,
     global_avg_pool_ref,
+    max_pool_grad_ref,
     max_pool_ref,
     strip_pool_ref,
 )
@@ -123,20 +125,108 @@ class TestConv2dBatch:
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((2, 16, 24, 24)).astype(np.float32), requires_grad=True)
         w = Parameter(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
-        tape().reset()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ops.conv2d(x, w, stride=1, padding=1)
-            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-        finally:
-            tracemalloc.stop()
-        assert len(tape()) == 1
-        tape().reset()
+        held = _held_beyond_output(lambda v: ops.conv2d(v, w, stride=1, padding=1), x)
         assert held < x.data.nbytes, f"{held} bytes held beyond the output"
 
 
+class TestConv2dBands:
+    """Forward GEMMs over bands of output rows, including a last band
+    shorter than the others.
+
+    A BLAS GEMM computes each output column in a block of columns (16 wide
+    in the OpenBLAS sgemm kernels for AVX2 and AVX-512) or in the remainder
+    kernel after the last
+    full block, and the two round differently. A band therefore matches the
+    single GEMM bit for bit when every band holds a multiple of the block
+    width of columns, which every power-of-two map width of 16 or more
+    gives; elsewhere bands agree with the oracle to float32 rounding.
+    """
+
+    CASES = {
+        "7x7-stem": dict(c=3, out_c=4, k=7, stride=2, padding=3, groups=1),
+        "3x3-stride2": dict(c=4, out_c=6, k=3, stride=2, padding=1, groups=1),
+        "depthwise": dict(c=4, out_c=4, k=3, stride=1, padding=1, groups=4),
+    }
+    # input sizes giving 16-column output rows and a row count not a multiple of 3
+    SIXTEEN_WIDE = {"7x7-stem": (21, 32), "3x3-stride2": (20, 32), "depthwise": (11, 16)}
+
+    def _run(self, case, n, hw, monkeypatch):
+        spec = self.CASES[case]
+        c, out_c, k, s, p, groups = (
+            spec[key] for key in ("c", "out_c", "k", "stride", "padding", "groups")
+        )
+        h, w = hw
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        # three output rows of columns per band
+        monkeypatch.setattr(ops, "_BAND_BYTES", 3 * c * k * k * n * ow * 4)
+        assert oh > 3 and oh % 3
+        rng = np.random.default_rng(len(case) + n + h)
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        wt = rng.standard_normal((out_c, c // groups, k, k)).astype(np.float32)
+        out = ops.conv2d(t(x), t(wt), stride=s, padding=p, groups=groups).data
+        np.testing.assert_allclose(out, conv2d_ref(x, wt, stride=s, padding=p, groups=groups), atol=1e-4)
+        one_gemm = np.matmul(
+            wt.reshape(groups, out_c // groups, -1),
+            _im2col(x, k, k, s, p, oh, ow).reshape(groups, c // groups * k * k, -1),
+        )
+        return out, one_gemm.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bands_bit_equal_to_one_gemm(self, case, n, monkeypatch):
+        out, one_gemm = self._run(case, n, self.SIXTEEN_WIDE[case], monkeypatch)
+        np.testing.assert_array_equal(out, one_gemm)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_odd_maps_match_oracle(self, case, n, monkeypatch):
+        self._run(case, n, (34, 17), monkeypatch)
+
+    def test_map_larger_than_one_band(self):
+        # at the module's own band size: 2.5 MiB of columns, three bands
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((1, 8, 96, 96)).astype(np.float32)
+        wt = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
+        out = ops.conv2d(t(x), t(wt), stride=1, padding=1).data
+        cols = _im2col(x, 3, 3, 1, 1, 96, 96)
+        assert cols.nbytes > 2 * ops._BAND_BYTES
+        np.testing.assert_array_equal(out, np.matmul(wt.reshape(8, -1), cols).reshape(1, 8, 96, 96))
+
+
+def _held_beyond_output(kernel, x):
+    """Bytes a grad-enabled kernel keeps alive beyond its output."""
+    tape().reset()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = kernel(x)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape()) == 1
+    tape().reset()
+    return held
+
+
 class TestBatchNorm:
+    def test_eval_gradient_with_large_running_mean(self):
+        # |running mean| >> std: the subtract-first form keeps its digits
+        rng = np.random.default_rng(12)
+        with using_dtype(np.float64):
+            x = Parameter(50.0 + 0.5 * rng.standard_normal((2, 3, 4, 5)))
+            gamma = Parameter(1.0 + 0.3 * rng.standard_normal(3))
+            beta = Parameter(rng.standard_normal(3))
+            rm = Tensor(50.0 + 0.1 * rng.standard_normal(3))
+            rv = Tensor(0.25 + 0.05 * np.abs(rng.standard_normal(3)))
+
+            def loss():
+                y = ops.batch_norm(x, gamma, beta, rm, rv, mode="eval")
+                return ops.tensor_sum(y * y)
+
+            res = grad_check(loss, {"x": x, "gamma": gamma, "beta": beta})
+        tape().reset()
+        assert res.max_rel_err < 1e-4, str(res)
+
     def test_eval_identity_normalization(self):
         rng = np.random.default_rng(2)
         x = t(rng.standard_normal((2, 3, 4, 4)))
@@ -227,6 +317,27 @@ class TestPooling:
         x = rng.standard_normal((2, 3, 7, 6)).astype(np.float64)
         out = ops.max_pool(Tensor(x, dtype=np.float64), 3, 2, 1)
         np.testing.assert_array_equal(out.data, max_pool_ref(x, 3, 2, 1))
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (2, 2, 0), (3, 1, 1)])
+    def test_max_pool_tied_windows_route_to_first_maximum(self, kernel, stride, padding):
+        # after a ReLU most windows are all zeros: every tie goes to the
+        # window's first element, as argmax routing does
+        rng = np.random.default_rng(kernel * 10 + stride)
+        x = np.maximum(np.round(rng.standard_normal((2, 3, 7, 6))), 0.0)
+        assert (x == 0).mean() > 0.5
+        xp = Parameter(x)
+        out = ops.max_pool(xp, kernel, stride, padding)
+        g = rng.integers(-4, 5, out.shape).astype(np.float64)
+        tape().backward(ops.tensor_sum(out * Tensor(g)))
+        tape().reset()
+        np.testing.assert_array_equal(xp.grad, max_pool_grad_ref(x, g, kernel, stride, padding))
+
+    def test_max_pool_and_relu_keep_only_their_output(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((2, 8, 32, 32)).astype(np.float32), requires_grad=True)
+        slack = 4096  # the tape record and closure objects
+        assert _held_beyond_output(lambda v: ops.max_pool(v, 3, 2, 1), x) < slack
+        assert _held_beyond_output(ops.relu, x) < slack
 
 
 class TestBilinear:
@@ -325,6 +436,14 @@ class TestSimpleOps:
     def test_relu(self):
         out = ops.relu(t(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)))
         np.testing.assert_array_equal(out.data.reshape(3), [0.0, 0.0, 2.0])
+
+    def test_relu_propagates_nan(self):
+        x = Parameter(np.array([np.nan, -1.0, 0.0, 2.0]).reshape(1, 1, 1, 4))
+        out = ops.relu(x)
+        np.testing.assert_array_equal(out.data.reshape(4), [np.nan, 0.0, 0.0, 2.0])
+        tape().backward(ops.tensor_sum(out * Tensor(np.ones(out.shape))))
+        tape().reset()
+        np.testing.assert_array_equal(x.grad.reshape(4), [0.0, 0.0, 0.0, 1.0])
 
     def test_dropout_eval_is_identity(self):
         x = t(np.arange(12).reshape(1, 3, 2, 2))

@@ -141,12 +141,11 @@ def _group(name: str) -> str:
     return parts[0]
 
 
-def count_params(model, grouped: bool = True) -> AnalysisReport:
+def count_params(model) -> AnalysisReport:
     """Exact element counts of every Parameter, grouped by module prefix."""
     groups: dict[str, int] = defaultdict(int)
     for name, p in model.named_parameters():
-        key = _group(name) if grouped else name
-        groups[key] += p.size
+        groups[_group(name)] += p.size
     rows = [ReportRow(module=k, params=v) for k, v in sorted(groups.items())]
     return AnalysisReport(rows=rows)
 
@@ -162,9 +161,7 @@ def count_flops(model, input_shape) -> AnalysisReport:
             model(x)
     finally:
         model.train(was_training)
-    params: dict[str, int] = defaultdict(int)
-    for name, p in model.named_parameters():
-        params[_group(name)] += p.size
+    params = {row.module: row.params for row in count_params(model).rows}
     flops: dict[str, int] = defaultdict(int)
     for name, f in counter.per_module.items():
         flops[_group(name)] += f

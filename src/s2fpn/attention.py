@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .nn import Conv2d, Module
 from .tensor import Parameter, Tensor, default_dtype
 
@@ -18,23 +18,16 @@ class StripAttention(Module):
 
     The residual mix is `alpha * scaled + (1 - alpha) * x` with a learnable
     scalar alpha initialized to zero, so a freshly built block is the
-    identity. `duplicate_max_term` switches the scaled strip from
-    A*f1 + A*f2 to A*f2 + A*f2 (ablation variant).
+    identity.
     """
 
-    def __init__(
-        self,
-        channels: int,
-        rng: np.random.Generator | None = None,
-        duplicate_max_term: bool = False,
-    ):
+    def __init__(self, channels: int, rng: np.random.Generator | None = None):
         super().__init__()
         self.channels = channels
-        self.duplicate_max_term = duplicate_max_term
         self.shared_conv = Conv2d(channels, channels, 1, bias=True, rng=rng)
         self.alpha = Parameter(np.zeros((), dtype=default_dtype()))
 
-    def forward(self, x: Tensor, return_intermediates: bool = False):
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.channels:
             raise ConfigError(
                 f"strip attention built for {self.channels} channels, got input {x.shape}"
@@ -44,20 +37,9 @@ class StripAttention(Module):
         f1 = self.shared_conv(z_avg)
         f2 = self.shared_conv(z_max)
         attention = ops.softmax(f1 * f2, "H")
-        first = f2 if self.duplicate_max_term else f1
-        scaled = attention * first + attention * f2
+        scaled = attention * f1 + attention * f2
         # alpha * scaled + (1 - alpha) * x, written so every term is batched
-        out = x + self.alpha * (scaled - x)
-        if return_intermediates:
-            return out, {
-                "z_avg": z_avg,
-                "z_max": z_max,
-                "f1": f1,
-                "f2": f2,
-                "attention": attention,
-                "scaled": scaled,
-            }
-        return out
+        return x + self.alpha * (scaled - x)
 
 
 class ChannelAttention(Module):

@@ -15,7 +15,6 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, ShapeError
 from .nn import BatchNorm2d, Conv2d, MaxPool2d, Module
-from .serialize import read_checkpoint
 from .tensor import Tensor
 
 STAGE_WIDTHS = (64, 128, 256, 512)
@@ -127,14 +126,3 @@ class Backbone(Module):
 
 def build_backbone(variant: str, rng: np.random.Generator | None = None) -> Backbone:
     return Backbone(variant, rng or np.random.default_rng(0))
-
-
-def import_weights(backbone: Backbone, path) -> tuple[int, list[str], list[str]]:
-    """Load name-matched tensors from a checkpoint file.
-
-    Returns (count_loaded, missing_names, unexpected_names); shape
-    mismatches raise, naming the offending tensor and both shapes.
-    """
-    state = read_checkpoint(path)
-    loaded, missing, unexpected = backbone.load_state_dict(state)
-    return len(loaded), missing, unexpected

@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import benchmark_latency, count_flops
 from .blas import thread_limit
 from .config import RunConfig, parse_config
-from .dataset import Palette, SegDataset, load_palette
+from .dataset import Palette, SegDataset, load_palette, to_chw
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -26,7 +26,7 @@ from .errors import (
 from .imageio import read_ppm, write_pgm, write_ppm
 from .model import S2FPN
 from .serialize import load_model
-from .tensor import Tensor, no_grad, set_default_dtype
+from .tensor import no_grad, set_default_dtype
 from .trainer import Trainer, evaluate_model
 from .verification import ALL_SCOPES, run_verification
 
@@ -40,11 +40,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_POSITIVE = _at_least(1)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="s2fpn", description=__doc__)
     parser.add_argument("--config", help="run configuration file (key = value lines)")
-    parser.add_argument("--seed", type=int, help="override the configured seed")
-    parser.add_argument("--threads", type=int, help="cap BLAS threads for the command")
+    parser.add_argument("--seed", type=_at_least(0), help="override the configured seed")
+    parser.add_argument("--threads", type=_POSITIVE, help="cap BLAS threads for the command")
     parser.add_argument("--f64", action="store_true", help="run in float64")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -63,17 +77,17 @@ def build_parser() -> _Parser:
     p.add_argument("--blend", type=float, default=0.5, help="overlay alpha in [0, 1]")
 
     p = sub.add_parser("analyze", help="parameter/FLOP report, optional latency")
-    p.add_argument("--height", type=int, default=512)
-    p.add_argument("--width", type=int, default=1024)
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--height", type=_POSITIVE, default=512)
+    p.add_argument("--width", type=_POSITIVE, default=1024)
+    p.add_argument("--batch", type=_POSITIVE, default=1)
     p.add_argument("--csv", help="also write the report as CSV")
     p.add_argument("--latency", action="store_true")
-    p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--warmup", type=_at_least(0), default=3)
+    p.add_argument("--iters", type=_POSITIVE, default=10)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")
     p.add_argument("scope", nargs="?", default="all", choices=("all",) + ALL_SCOPES)
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds")
+    p.add_argument("--seeds", type=_POSITIVE, default=5, help="number of seeds")
     p.add_argument("--tolerance", type=float, default=1e-4)
 
     return parser
@@ -89,16 +103,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _build_model(cfg: RunConfig) -> S2FPN:
-    return S2FPN(
-        backbone=cfg.backbone,
-        pyramid_width=cfg.pyramid_width,
-        num_classes=cfg.num_classes,
-        dropout_p=cfg.dropout,
-        seed=cfg.seed,
-    )
-
-
 def _palette_for(cfg: RunConfig) -> Palette:
     palette = load_palette(cfg.palette)
     if len(palette) != cfg.num_classes:
@@ -108,12 +112,15 @@ def _palette_for(cfg: RunConfig) -> Palette:
     return palette
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
+def _dataset_for(cfg: RunConfig) -> SegDataset:
     if not cfg.dataset:
         raise ConfigError("config is missing the 'dataset' key")
-    dataset = SegDataset(cfg.dataset)
-    trainer = Trainer(cfg, dataset)
+    return SegDataset(cfg.dataset)
+
+
+def cmd_train(args) -> int:
+    cfg = _load_config(args)
+    trainer = Trainer(cfg, _dataset_for(cfg))
     summary = trainer.run(resume=args.resume)
     print(f"trained {summary['iterations']} iterations")
     if summary["final_loss"] is not None:
@@ -127,12 +134,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     palette = _palette_for(cfg)
-    model = _build_model(cfg)
+    model = S2FPN.from_config(cfg)
     load_model(args.checkpoint, model)
-    dataset = SegDataset(cfg.dataset) if cfg.dataset else None
-    if dataset is None:
-        raise ConfigError("config is missing the 'dataset' key")
-    matrix = evaluate_model(model, dataset, args.split)
+    matrix = evaluate_model(model, _dataset_for(cfg), args.split)
     per_class = matrix.iou()
     width = max(len(n) for n in (*palette.names, "class", "mIoU")) + 2
     print(f"{'class':<{width}}iou")
@@ -152,7 +156,7 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
     palette = _palette_for(cfg)
-    model = _build_model(cfg)
+    model = S2FPN.from_config(cfg)
     load_model(args.checkpoint, model)
     image = read_ppm(args.image)
     h, w, _ = image.shape
@@ -161,11 +165,9 @@ def cmd_infer(args) -> int:
         raise DataError(
             f"image dims ({h}, {w}) must be divisible by {stride} for this backbone"
         )
-    chw = image.astype(np.float32).transpose(2, 0, 1)[None] / 255.0
-    chw = (chw - model.input_mean.data) / model.input_std.data
     model.eval()
     with no_grad():
-        logits = model(Tensor(chw.astype(np.float32)))
+        logits = model(model.normalize(to_chw(image)[None]))
     pred = logits.data.argmax(axis=1)[0].astype(np.uint8)
     out = Path(args.out)
     label_path = out.with_suffix(".pgm")
@@ -186,7 +188,7 @@ def cmd_infer(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
-    model = _build_model(cfg)
+    model = S2FPN.from_config(cfg)
     shape = (args.batch, 3, args.height, args.width)
     report = count_flops(model, shape)
     if args.latency:

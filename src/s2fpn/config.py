@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -89,6 +90,23 @@ _KEY_MAP = {
 }
 
 
+_POSITIVE = ("> 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = (">= 0", lambda v: 0 <= v < math.inf)
+
+# dataclass field -> (what a value must be, its test), checked at parse
+# time; each item of a tuple value is tested
+_RANGES = {
+    **dict.fromkeys(
+        ("pyramid_width", "num_classes", "crop_h", "crop_w", "batch_size", "scales",
+         "checkpoint_every"),
+        _POSITIVE,
+    ),
+    **dict.fromkeys(("epochs", "ohem_min_kept", "seed"), _NON_NEGATIVE),
+    "dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "flip_prob": ("in [0, 1]", lambda v: 0 <= v <= 1),
+}
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -104,9 +122,13 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source} line {lineno}: unknown key {key!r}")
         attr, converter = _KEY_MAP[key]
         try:
-            setattr(cfg, attr, converter(value))
+            parsed = converter(value)
         except ValueError as exc:
             raise ConfigError(f"{source} line {lineno}: bad value for {key!r}: {exc}") from exc
+        rule, test = _RANGES.get(attr, ("", None))
+        if test and not all(map(test, parsed if isinstance(parsed, tuple) else (parsed,))):
+            raise ConfigError(f"{source} line {lineno}: {key!r} must be {rule}, got {value!r}")
+        setattr(cfg, attr, parsed)
     return cfg
 
 

@@ -66,6 +66,10 @@ class Palette:
                 rgb = tuple(int(v) for v in parts[2:5])
             except ValueError as exc:
                 raise DataError(f"{source} line {lineno}: {exc}") from exc
+            if not all(0 <= v <= 255 for v in (cid, *rgb)):
+                raise DataError(
+                    f"{source} line {lineno}: class id and colour must be in 0..255, got {raw!r}"
+                )
             entries.append(PaletteEntry(cid, parts[1], rgb))
         if not entries:
             raise DataError(f"{source}: empty palette")
@@ -82,6 +86,11 @@ def load_palette(name_or_path: str) -> Palette:
     if not path.is_file():
         raise DataError(f"palette {name_or_path!r} is neither built-in nor a file")
     return Palette.parse(path.read_text(), source=str(path))
+
+
+def to_chw(image: np.ndarray) -> np.ndarray:
+    """uint8 (H, W, 3) pixels to a float32 (3, H, W) image in [0, 1]."""
+    return np.ascontiguousarray(image.astype(np.float32).transpose(2, 0, 1) / 255.0)
 
 
 class SegDataset:
@@ -122,8 +131,7 @@ class SegDataset:
             raise DataError(
                 f"{basename}: image dims {image.shape[:2]} != label dims {label.shape}"
             )
-        chw = image.astype(np.float32).transpose(2, 0, 1) / 255.0
-        return np.ascontiguousarray(chw), label.astype(np.int64)
+        return to_chw(image), label.astype(np.int64)
 
     def compute_normalization(self, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
         """Per-channel mean/std over the split's images (in [0, 1] units)."""

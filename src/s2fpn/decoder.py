@@ -22,7 +22,7 @@ class GlobalFeatureUpsample(Module):
         self.apf_conv = ConvBNReLU(channels, channels, 1, rng=rng)
         self.out_conv = ConvBNReLU(channels, channels, 1, rng=rng)
 
-    def forward(self, x_deep, x_pyramid, return_intermediates: bool = False):
+    def forward(self, x_deep, x_pyramid):
         if x_deep.shape[1] != self.channels or x_pyramid.shape[1] != self.channels:
             raise ConfigError(
                 f"fusion block built for {self.channels} channels, got "
@@ -32,17 +32,7 @@ class GlobalFeatureUpsample(Module):
         pooled = ops.global_avg_pool(self.pre_conv(up))
         ctx = self.ctx_conv(pooled)
         branch = self.apf_conv(x_pyramid)
-        fused = ctx + branch
-        out = self.out_conv(fused)
-        if return_intermediates:
-            return out, {
-                "upsampled": up,
-                "pooled": pooled,
-                "context": ctx,
-                "pyramid_branch": branch,
-                "fused": fused,
-            }
-        return out
+        return self.out_conv(ctx + branch)
 
 
 class SegHead(Module):

@@ -124,9 +124,9 @@ def total_loss(
     ohem: OhemConfig,
     aux_weight: float = 0.4,
     aux_ohem: bool = True,
-    return_terms: bool = False,
-):
-    """main + aux_weight * sum(aux), every aux upsampled to label size first."""
+) -> tuple[Tensor, list[Tensor]]:
+    """main + aux_weight * sum(aux), every aux upsampled to label size
+    first; returns that total and the unweighted terms, main first."""
     labels = np.asarray(labels)
     if labels.ndim == 2:
         labels = labels[None]
@@ -147,6 +147,4 @@ def total_loss(
             term = cross_entropy(aux, labels, ohem.ignore_index)
         terms.append(term)
         loss = loss + aux_weight * term
-    if return_terms:
-        return loss, terms
-    return loss
+    return loss, terms

@@ -59,6 +59,16 @@ class S2FPN(Module):
         self.register_buffer("input_std", np.ones((1, 3, 1, 1), dtype=np.float32))
         self.assign_parameter_names()
 
+    @classmethod
+    def from_config(cls, cfg) -> "S2FPN":
+        """The network a RunConfig describes."""
+        return cls(cfg.backbone, cfg.pyramid_width, cfg.num_classes, cfg.dropout, cfg.seed)
+
+    def normalize(self, images: np.ndarray) -> Tensor:
+        """The network's input transform: (N, 3, H, W) images in [0, 1] to
+        a float32 input standardized by the `input_mean`/`input_std` buffers."""
+        return Tensor(((images - self.input_mean.data) / self.input_std.data).astype(np.float32))
+
     def forward(self, x: Tensor):
         n, c, h, w = x.shape
         features = self.backbone(x)

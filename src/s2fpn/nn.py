@@ -7,6 +7,7 @@ import numpy as np
 from . import ops
 from .counting import current_counter
 from .errors import ConfigError, ShapeError
+from .serialize import pad4
 from .tensor import Parameter, Tensor, default_dtype
 
 
@@ -85,22 +86,17 @@ class Module:
         Returns (loaded_names, missing_in_state, unexpected_in_state).
         Shape mismatches always raise, naming the offending tensor.
         """
-        own: dict[str, Tensor] = {}
-        for name, p in self.named_parameters():
-            own[name] = p
-        for name, b in self.named_buffers():
-            own[name] = b
-        loaded, missing, unexpected = [], [], []
-        for name, target in own.items():
-            if name not in state:
-                missing.append(name)
+        own: dict[str, Tensor] = dict(self.named_parameters())
+        own.update(self.named_buffers())
+        missing = [name for name in own if name not in state]
+        loaded, unexpected = [], []
         for name, arr in state.items():
             target = own.get(name)
             if target is None:
                 unexpected.append(name)
                 continue
             arr = np.asarray(arr)
-            if int(np.prod(arr.shape)) != target.size or _pad4(arr.shape) != _pad4(target.shape):
+            if arr.ndim > 4 or pad4(arr.shape) != pad4(target.shape):
                 raise ShapeError(
                     f"cannot load {name!r}: checkpoint shape {tuple(arr.shape)} "
                     f"vs model shape {tuple(target.shape)}"
@@ -137,13 +133,6 @@ class Module:
             return self.forward(*args, **kwargs)
         finally:
             counter.leave()
-
-
-def _pad4(shape) -> tuple[int, int, int, int]:
-    dims = tuple(int(d) for d in shape)
-    if len(dims) > 4:
-        raise ShapeError(f"tensors above rank 4 are not supported, got {dims}")
-    return (1,) * (4 - len(dims)) + dims
 
 
 def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -213,11 +202,6 @@ class BatchNorm2d(Module):
             momentum=self.momentum,
             eps=self.eps,
         )
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.relu(x)
 
 
 class Dropout(Module):

@@ -95,14 +95,9 @@ class Adam:
             yield f"optim.{key}.v", self._v[i]
 
     def load_state(self, entries: dict[str, np.ndarray]) -> None:
-        step = entries.get("optim.step")
-        if step is not None:
-            self.step_count = int(np.asarray(step).reshape(-1)[0])
+        """Restore every entry `state_entries` names; all must be present."""
+        self.step_count = int(np.asarray(entries["optim.step"]).reshape(-1)[0])
         for i, p in enumerate(self.params):
             key = p.name or f"param{i}"
-            m = entries.get(f"optim.{key}.m")
-            v = entries.get(f"optim.{key}.v")
-            if m is not None:
-                self._m[i][...] = np.asarray(m).reshape(self._m[i].shape)
-            if v is not None:
-                self._v[i][...] = np.asarray(v).reshape(self._v[i].shape)
+            self._m[i][...] = np.asarray(entries[f"optim.{key}.m"]).reshape(self._m[i].shape)
+            self._v[i][...] = np.asarray(entries[f"optim.{key}.v"]).reshape(self._v[i].shape)

@@ -95,7 +95,7 @@ class PyramidStage(Module):
         self.head = AuxHead(width, num_classes, dropout_p, rng=rng)
         self.next_refine = Conv2d(width, width, 3, padding=1, bias=True, rng=rng)
 
-    def forward(self, coarse, low, return_intermediates: bool = False):
+    def forward(self, coarse, low):
         if coarse.shape[2] > low.shape[2] or coarse.shape[3] > low.shape[3]:
             raise ShapeError(
                 f"coarse feature {coarse.shape} larger than lateral feature {low.shape} "
@@ -115,18 +115,7 @@ class PyramidStage(Module):
         x_b = self.coarse_conv(up) * self.ssam(refined)
         fused = x_a + x_b
         aux = self.head(fused)
-        out = self.next_refine(fused)
-        if return_intermediates:
-            return out, aux, {
-                "lateral": lat,
-                "upsampled": up,
-                "refined": refined,
-                "channel_gate": gate,
-                "x_a": x_a,
-                "x_b": x_b,
-                "fused": fused,
-            }
-        return out, aux
+        return self.next_refine(fused), aux
 
 
 class AttentionPyramid(Module):

@@ -31,7 +31,8 @@ _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_FOR_KIND = {"<f4": 1, "<f8": 2}
 
 
-def _pad4(shape) -> tuple[int, int, int, int]:
+def pad4(shape) -> tuple[int, int, int, int]:
+    """The checkpoint's 4-d shape: leading dims padded with 1."""
     dims = tuple(int(d) for d in shape)
     if len(dims) > 4:
         raise CheckpointError(f"cannot serialize tensors above rank 4 (shape {dims})")
@@ -59,7 +60,7 @@ def write_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
         manifest += struct.pack("<H", len(name_bytes))
         manifest += name_bytes
         manifest += struct.pack("<B", code)
-        manifest += struct.pack("<4I", *_pad4(arr.shape))
+        manifest += struct.pack("<4I", *pad4(arr.shape))
         manifest += struct.pack("<Q", offset)
         arrays.append(arr)
         offset += arr.nbytes
@@ -134,18 +135,28 @@ def _read_entries(fh, path: Path, file_size: int) -> dict[str, np.ndarray]:
 
 
 def save_model(path, model, extra: dict[str, np.ndarray] | None = None) -> None:
-    entries: dict[str, np.ndarray] = {name: arr for name, arr, _ in model.state_entries()}
+    entries = model.state_dict()
     if extra:
         for name, arr in extra.items():
             entries[name] = np.asarray(arr)
     write_checkpoint(path, entries)
 
 
-def load_model(path, model, strict: bool = False):
-    """Name-matched load into `model`.
+def require_entries(path, entries: dict[str, np.ndarray], names) -> None:
+    """Refuse a checkpoint that lacks any of `names`, naming every one."""
+    missing = [name for name in names if name not in entries]
+    if missing:
+        raise CheckpointError(f"{path} lacks {len(missing)} entries: {', '.join(missing)}")
 
-    Returns (loaded, missing, unexpected) name lists; `unexpected` includes
-    any non-model entries (e.g. optimizer state saved alongside).
+
+def load_model(path, model) -> tuple[list[str], list[str]]:
+    """Load every parameter and buffer of `model` from the file at `path`.
+
+    A file without one of them is refused before anything is copied;
+    extra entries (e.g. optimizer state saved alongside) are allowed.
+    Returns the (loaded, unexpected) name lists.
     """
     state = read_checkpoint(path)
-    return model.load_state_dict(state, strict=strict)
+    require_entries(path, state, model.state_dict())
+    loaded, _, unexpected = model.load_state_dict(state)
+    return loaded, unexpected

@@ -186,12 +186,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype.type)
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0

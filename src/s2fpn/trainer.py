@@ -15,7 +15,7 @@ from .losses import OhemConfig, total_loss
 from .metrics import ConfusionMatrix
 from .model import S2FPN
 from .optim import Adam, poly_lr
-from .serialize import read_checkpoint, write_checkpoint
+from .serialize import read_checkpoint, require_entries, write_checkpoint
 from .tensor import Tensor, no_grad, tape
 
 
@@ -24,14 +24,11 @@ def evaluate_model(model: S2FPN, dataset: SegDataset, split: str) -> ConfusionMa
     matrix = ConfusionMatrix(model.num_classes)
     was_training = model.training
     model.eval()
-    mean = model.input_mean.data
-    std = model.input_std.data
     try:
         with no_grad():
             for name in dataset.split(split):
                 image, label = dataset.load(name)
-                x = Tensor(((image[None] - mean) / std).astype(np.float32))
-                logits = model(x)
+                logits = model(model.normalize(image[None]))
                 pred = logits.data.argmax(axis=1)[0]
                 matrix.add(pred, label)
     finally:
@@ -46,13 +43,7 @@ class Trainer:
         self.out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.log_path = self.out_dir / "train.log"
-        self.model = S2FPN(
-            backbone=cfg.backbone,
-            pyramid_width=cfg.pyramid_width,
-            num_classes=cfg.num_classes,
-            dropout_p=cfg.dropout,
-            seed=cfg.seed,
-        )
+        self.model = S2FPN.from_config(cfg)
         mean, std = dataset.compute_normalization("train")
         self.model.input_mean.data[...] = mean.reshape(1, 3, 1, 1)
         self.model.input_std.data[...] = np.maximum(std, 1e-3).reshape(1, 3, 1, 1)
@@ -101,29 +92,29 @@ class Trainer:
             )
             images.append(record.image)
             labels.append(record.label)
-        stack = np.stack(images)
-        stack = (stack - self.model.input_mean.data) / self.model.input_std.data
-        return Tensor(stack.astype(np.float32)), np.stack(labels)
+        return self.model.normalize(np.stack(images)), np.stack(labels)
 
     # -- checkpointing ----------------------------------------------------
 
-    def save_checkpoint(self, path, iteration: int) -> None:
-        entries = {name: arr for name, arr, _ in self.model.state_entries()}
-        for name, arr in self.optimizer.state_entries():
-            entries[name] = arr
+    def _state_entries(self, iteration: int) -> dict[str, np.ndarray]:
+        entries = self.model.state_dict()
+        entries.update(self.optimizer.state_entries())
         entries["trainer.iter"] = np.asarray([float(iteration)], dtype=np.float64)
         entries["trainer.best_miou"] = np.asarray([self.best_miou], dtype=np.float64)
-        write_checkpoint(path, entries)
+        return entries
+
+    def save_checkpoint(self, path, iteration: int) -> None:
+        write_checkpoint(path, self._state_entries(iteration))
 
     def load_checkpoint(self, path) -> int:
+        """Restore the full state `save_checkpoint` wrote; a file that lacks
+        any of its entries is refused before anything is loaded."""
         entries = read_checkpoint(path)
+        require_entries(path, entries, self._state_entries(0))
         self.model.load_state_dict(entries)
         self.optimizer.load_state(entries)
-        it = entries.get("trainer.iter")
-        best = entries.get("trainer.best_miou")
-        if best is not None:
-            self.best_miou = float(np.asarray(best).reshape(-1)[0])
-        self.start_iter = int(np.asarray(it).reshape(-1)[0]) if it is not None else 0
+        self.best_miou = float(entries["trainer.best_miou"].reshape(-1)[0])
+        self.start_iter = int(entries["trainer.iter"].reshape(-1)[0])
         return self.start_iter
 
     # -- the loop ----------------------------------------------------------
@@ -148,9 +139,7 @@ class Trainer:
         recorder = tape()
         recorder.reset()
         main, aux = self.model(x)
-        loss, terms = total_loss(
-            main, aux, labels, self.ohem, cfg.aux_weight, cfg.aux_ohem, return_terms=True
-        )
+        loss, terms = total_loss(main, aux, labels, self.ohem, cfg.aux_weight, cfg.aux_ohem)
         if not np.isfinite(loss.item()):
             # stop before backward and the update reach the parameters
             recorder.reset()

@@ -159,7 +159,7 @@ def conv1x1_ref(v, w, b=None):
     return out
 
 
-def ssam_ref(x, w, b, alpha, duplicate_max_term=False):
+def ssam_ref(x, w, b, alpha):
     """Scalar-loop recomputation of the strip-attention pipeline."""
     n, c, h, ww = x.shape
     out = np.zeros_like(x, dtype=np.float64)
@@ -179,8 +179,7 @@ def ssam_ref(x, w, b, alpha, duplicate_max_term=False):
         att = np.zeros((c, h))
         for ci in range(c):
             att[ci, :] = softmax_col_ref(list(f1[ci, :] * f2[ci, :]))
-        first = f2 if duplicate_max_term else f1
-        scaled = att * first + att * f2
+        scaled = att * f1 + att * f2
         for ci in range(c):
             for hi in range(h):
                 for wi in range(ww):

@@ -25,6 +25,7 @@ from s2fpn.tensor import Parameter
 from s2fpn.trainer import Trainer, evaluate_model
 from s2fpn.verification import run_verification
 
+from capture import pyramid_stage_parts, strip_attention_parts
 from oracles import apf_ref, gfu_ref, ohem_select_ref, ssam_ref
 
 PARAMS_18M = 17.8e6
@@ -139,7 +140,7 @@ class TestCriterion4ScalarLoopOracles:
         rng = np.random.default_rng(3)
         coarse = Tensor(rng.standard_normal((1, 6, 2, 3)).astype(np.float32))
         low = Tensor(rng.standard_normal((1, 5, 4, 6)).astype(np.float32))
-        _, _, inter = stage(coarse, low, return_intermediates=True)
+        _, _, inter = pyramid_stage_parts(stage, coarse, low)
 
         def bn_of(m):
             return (m.gamma.data, m.beta.data, m.running_mean.data, m.running_var.data)
@@ -232,7 +233,7 @@ class TestCriterion5StructuralInvariants:
         identity = np.array_equal(ssam(x).data, x.data)
         verdict("criterion 5a: zero mixing scalar keeps attention an identity", identity)
 
-        _, inter = ssam(x, return_intermediates=True)
+        _, inter = strip_attention_parts(ssam, x)
         sums = inter["attention"].data.sum(axis=2)
         verdict(
             "criterion 5b: attention columns sum to 1 within 1e-6",

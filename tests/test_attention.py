@@ -9,6 +9,7 @@ from s2fpn.errors import ConfigError
 from s2fpn.ops import tensor_sum
 from s2fpn.verification import block_checks
 
+from capture import strip_attention_parts
 from oracles import cam_ref, ssam_ref
 
 
@@ -30,7 +31,7 @@ class TestStripAttention:
         x = Tensor(np.repeat(strip, 4, axis=3))
         block = StripAttention(3, rng=np.random.default_rng(3))
         block.alpha.data[...] = 0.7
-        out, inter = block(x, return_intermediates=True)
+        out, inter = strip_attention_parts(block, x)
         np.testing.assert_array_equal(inter["z_avg"].data, inter["z_max"].data)
         np.testing.assert_array_equal(inter["f1"].data, inter["f2"].data)
         expected = 2.0 * inter["attention"].data * inter["f1"].data
@@ -39,7 +40,7 @@ class TestStripAttention:
     def test_attention_columns_sum_to_one(self):
         block = StripAttention(3, rng=np.random.default_rng(4))
         x = rand_input((1, 3, 5, 4), seed=5)
-        _, inter = block(x, return_intermediates=True)
+        _, inter = strip_attention_parts(block, x)
         sums = inter["attention"].data.sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
@@ -55,19 +56,6 @@ class TestStripAttention:
             float(block.alpha.data),
         )
         np.testing.assert_allclose(out.data, ref, atol=1e-6)
-
-    def test_duplicated_term_variant(self):
-        block = StripAttention(3, rng=np.random.default_rng(8), duplicate_max_term=True)
-        block.alpha.data[...] = -0.4
-        x = rand_input((1, 3, 4, 6), seed=9)
-        ref = ssam_ref(
-            x.data,
-            block.shared_conv.weight.data,
-            block.shared_conv.bias.data,
-            float(block.alpha.data),
-            duplicate_max_term=True,
-        )
-        np.testing.assert_allclose(block(x).data, ref, atol=1e-6)
 
     @pytest.mark.parametrize("shape", [(1, 4, 3, 3), (2, 4, 7, 2), (3, 4, 1, 5)])
     def test_shape_preserved(self, shape):
@@ -100,7 +88,7 @@ class TestStripAttention:
         x = Tensor(np.repeat(strip, 5, axis=3))
         block = StripAttention(3, rng=np.random.default_rng(16))
         block.shared_conv.weight.data += 0.25
-        _, inter = block(x, return_intermediates=True)
+        _, inter = strip_attention_parts(block, x)
         np.testing.assert_array_equal(inter["f1"].data, inter["f2"].data)
 
     def test_width_permutation_leaves_attention_unchanged(self):
@@ -110,8 +98,8 @@ class TestStripAttention:
         x = rng.standard_normal((1, 3, 5, 6)).astype(np.float32)
         perm = rng.permutation(6)
         block = StripAttention(3, rng=np.random.default_rng(18))
-        _, a = block(Tensor(x), return_intermediates=True)
-        _, b = block(Tensor(x[:, :, :, perm]), return_intermediates=True)
+        _, a = strip_attention_parts(block, Tensor(x))
+        _, b = strip_attention_parts(block, Tensor(x[:, :, :, perm]))
         np.testing.assert_array_equal(a["z_max"].data, b["z_max"].data)
         np.testing.assert_allclose(a["z_avg"].data, b["z_avg"].data, atol=1e-6)
         np.testing.assert_allclose(a["attention"].data, b["attention"].data, atol=1e-6)

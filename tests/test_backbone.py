@@ -5,9 +5,9 @@ import pytest
 
 from s2fpn import Tensor, no_grad
 from s2fpn.analysis import count_params
-from s2fpn.backbone import build_backbone, import_weights
-from s2fpn.errors import ConfigError, ShapeError
-from s2fpn.serialize import save_model, write_checkpoint
+from s2fpn.backbone import build_backbone
+from s2fpn.errors import CheckpointError, ConfigError, ShapeError
+from s2fpn.serialize import load_model, read_checkpoint, save_model, write_checkpoint
 
 
 def forward(bb, h, w, seed=0):
@@ -113,19 +113,23 @@ class TestImportWeights:
         path = tmp_path / "bb.ckpt"
         save_model(path, bb)
         other = build_backbone("r18")
-        count, missing, unexpected = import_weights(other, path)
-        assert count == len(list(other.named_parameters())) + len(list(other.named_buffers()))
-        assert not missing and not unexpected
+        loaded, unexpected = load_model(path, other)
+        assert len(loaded) == len(list(other.named_parameters())) + len(list(other.named_buffers()))
+        assert not unexpected
         after = forward(other.eval(), 32, 32, seed=3).f5.data
         assert np.array_equal(before, after)
 
     def test_missing_stage_reported(self, tmp_path):
+        # load_model refuses a partial file; a partial import goes through
+        # load_state_dict, which reports the missing names
         bb = build_backbone("r18")
         entries = {k: v for k, v in bb.state_dict().items() if not k.startswith("layer4")}
         path = tmp_path / "partial.ckpt"
         write_checkpoint(path, entries)
-        count, missing, unexpected = import_weights(build_backbone("r18"), path)
-        assert count == len(entries)
+        with pytest.raises(CheckpointError, match="layer4"):
+            load_model(path, build_backbone("r18"))
+        loaded, missing, unexpected = build_backbone("r18").load_state_dict(read_checkpoint(path))
+        assert len(loaded) == len(entries)
         assert missing and all(name.startswith("layer4") for name in missing)
 
     def test_transposed_weight_is_named_error(self, tmp_path):
@@ -137,4 +141,4 @@ class TestImportWeights:
         path = tmp_path / "bad.ckpt"
         write_checkpoint(path, entries)
         with pytest.raises(ShapeError, match="layer2.0.down_conv.weight"):
-            import_weights(build_backbone("r18"), path)
+            load_model(path, build_backbone("r18"))

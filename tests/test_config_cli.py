@@ -9,9 +9,10 @@ import pytest
 from s2fpn.cli import main
 from s2fpn.config import dump_config, parse_config_text
 from s2fpn.dataset import SegDataset
-from s2fpn.errors import ConfigError, NumericCheckError
+from s2fpn.errors import CheckpointError, ConfigError, NumericCheckError
 from s2fpn.imageio import read_pgm
 from s2fpn.metrics import ConfusionMatrix
+from s2fpn.serialize import read_checkpoint, write_checkpoint
 from s2fpn.synthetic import make_toy_corpus
 from s2fpn.trainer import Trainer, evaluate_model
 
@@ -114,6 +115,34 @@ class TestTrainerRoundTrip:
         _, losses_resumed = resumed.train_step(start)
         assert losses_resumed[0] == pytest.approx(losses_straight[0], abs=1e-12)
 
+    def test_resume_refuses_missing_adam_moment(self, toy_setup, tmp_path, capsys):
+        base, root, config = toy_setup
+        from s2fpn.config import parse_config
+
+        cfg = parse_config(config)
+        cfg.out_dir = str(tmp_path / "run")
+        ds = SegDataset(root)
+        first = Trainer(cfg, ds)
+        first.train_step(0)
+        ckpt = tmp_path / "full.ckpt"
+        first.save_checkpoint(ckpt, iteration=1)
+        entries = read_checkpoint(ckpt)
+        moment = next(name for name in entries if name.endswith(".v"))
+        del entries[moment]
+        partial = tmp_path / "partial.ckpt"
+        write_checkpoint(partial, entries)
+
+        resumed = Trainer(cfg, ds)
+        before = [p.data.copy() for p in resumed.model.parameters()]
+        with pytest.raises(CheckpointError, match=moment):
+            resumed.load_checkpoint(partial)
+        assert all(np.array_equal(p.data, b) for p, b in zip(resumed.model.parameters(), before))
+        assert resumed.optimizer.step_count == 0
+        assert resumed.start_iter == 0
+
+        assert main(["--config", str(config), "train", "--resume", str(partial)]) == 2
+        assert moment in capsys.readouterr().err
+
 
 def _poison_inputs(monkeypatch):
     """Make every training batch NaN, so the loss is NaN from step 0."""
@@ -203,11 +232,12 @@ class TestCliCommands:
         # same confusion counts as the evaluation path, on this image
         from types import SimpleNamespace
 
-        from s2fpn.cli import _build_model, _load_config
+        from s2fpn.cli import _load_config
+        from s2fpn.model import S2FPN
         from s2fpn.serialize import load_model
 
         cfg = _load_config(SimpleNamespace(config=str(config), seed=None))
-        model = _build_model(cfg)
+        model = S2FPN.from_config(cfg)
         load_model(ckpt, model)
         _, label = ds.load(name)
         direct = ConfusionMatrix(4)
@@ -268,6 +298,55 @@ class TestCliCommands:
         code = main(["--config", str(config), "eval", str(cut), "--split", "val"])
         assert code == 2
         assert "truncated" in capsys.readouterr().err
+
+    def test_eval_refuses_missing_model_entry(self, toy_setup, tmp_path, capsys):
+        base, root, config = toy_setup
+        entries = read_checkpoint(base / "run" / "final.ckpt")
+        del entries["head.classifier.weight"]
+        partial = tmp_path / "partial.ckpt"
+        write_checkpoint(partial, entries)
+        code = main(["--config", str(config), "eval", str(partial), "--split", "val",
+                     "--csv", str(tmp_path / "iou.csv")])
+        assert code == 2
+        assert "head.classifier.weight" in capsys.readouterr().err
+        assert not (tmp_path / "iou.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, palette, argv, code, message",
+        [
+            *[
+                pytest.param(f"{key} = {value}\n", None, ["train"], 1, f"error: {key}", id=f"{key}={value}")
+                for key, value in [
+                    ("batch_size", "0"), ("checkpoint_every", "0"), ("dropout", "1.5"),
+                    ("seed", "-1"), ("num_classes", "0"), ("scales", "-1"), ("scales", "0"),
+                ]
+            ],
+            pytest.param("", "0 a 300 0 0\n", ["infer", "x.ckpt", "x.ppm", "out"], 2,
+                         "data error: 0..255", id="palette-300"),
+            pytest.param("", "0 a 0 -1 0\n", ["infer", "x.ckpt", "x.ppm", "out"], 2,
+                         "data error: 0..255", id="palette-minus-1"),
+            pytest.param("", None, ["analyze", "--batch", "0"], 1, "usage error: --batch",
+                         id="analyze-batch-0"),
+            pytest.param("", None, ["analyze", "--latency", "--iters", "0"], 1,
+                         "usage error: --iters", id="analyze-iters-0"),
+            pytest.param("", None, ["gradcheck", "--seeds", "0"], 1, "usage error: --seeds",
+                         id="gradcheck-seeds-0"),
+        ],
+    )
+    def test_malformed_input_is_typed_error(
+        self, tmp_path, capsys, config, palette, argv, code, message
+    ):
+        # `message` is the package's prefix, then a fragment the message must name
+        prefix, fragment = message.split(": ")
+        if palette is not None:
+            (tmp_path / "p.palette").write_text(palette)
+            config += f"num_classes = 1\npalette = {tmp_path / 'p.palette'}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), *argv]) == code
+        out, err = capsys.readouterr()
+        assert err.startswith(prefix + ": ") and fragment in err
+        assert "Traceback" not in out + err
 
     def test_console_script_entry(self):
         result = subprocess.run(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s2fpn.dataset import Palette, SegDataset, load_palette
 from s2fpn.errors import DataError, ShapeError
@@ -91,6 +93,33 @@ class TestPalette:
     def test_ids_must_be_dense(self):
         with pytest.raises(DataError, match="dense"):
             Palette.parse("0 a 1 2 3\n2 b 4 5 6\n")
+
+    @pytest.mark.parametrize("line", ["0 a 300 0 0", "0 a 0 -1 0", "256 a 0 0 0"])
+    def test_out_of_range_values_rejected(self, line):
+        with pytest.raises(DataError, match="0..255"):
+            Palette.parse(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.none() | st.integers() | st.integers(0, 255),
+                *[st.integers() | st.integers(0, 255)] * 3,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_only_data_error_escapes(self, rows):
+        # None stands for the row's own index, so dense palettes occur too
+        text = "\n".join(
+            f"{i if cid is None else cid} c{i} {r} {g} {b}" for i, (cid, r, g, b) in enumerate(rows)
+        )
+        try:
+            table = Palette.parse(text).color_map()
+        except DataError:
+            return
+        assert table.shape == (256, 3)
 
     def test_file_palette_and_color_map(self, tmp_path):
         path = tmp_path / "p.palette"

@@ -11,6 +11,7 @@ from s2fpn.model import S2FPN, model_forward
 from s2fpn.ops import tensor_sum
 from s2fpn.verification import block_checks
 
+from capture import gfu_parts
 from oracles import gfu_ref
 
 
@@ -46,7 +47,7 @@ class TestGlobalFeatureUpsample:
         block = GlobalFeatureUpsample(6, rng=np.random.default_rng(0)).eval()
         x_deep = rand((2, 6, 2, 3), 1)
         x_pyr = rand((2, 6, 8, 12), 2)
-        _, inter = block(x_deep, x_pyr, return_intermediates=True)
+        _, inter = gfu_parts(block, x_deep, x_pyr)
         # the fusion is exactly context (one value per n, c) + branch
         assert inter["context"].shape == (2, 6, 1, 1)
         np.testing.assert_array_equal(
@@ -61,7 +62,7 @@ class TestGlobalFeatureUpsample:
         block = GlobalFeatureUpsample(4, rng=np.random.default_rng(1)).eval()
         x_deep = Tensor(np.full((1, 4, 2, 2), 0.6, dtype=np.float32))
         x_pyr = rand((1, 4, 6, 8), 3)
-        _, inter = block(x_deep, x_pyr, return_intermediates=True)
+        _, inter = gfu_parts(block, x_deep, x_pyr)
         assert inter["context"].shape == (1, 4, 1, 1)
         residual = inter["fused"].data - inter["pyramid_branch"].data
         np.testing.assert_allclose(
@@ -74,7 +75,7 @@ class TestGlobalFeatureUpsample:
         block.ctx_conv.bias.data[...] = 0.0
         x_deep = rand((1, 4, 2, 3), 4)
         x_pyr = rand((1, 4, 6, 8), 5)
-        out, inter = block(x_deep, x_pyr, return_intermediates=True)
+        out, inter = gfu_parts(block, x_deep, x_pyr)
         with no_grad():
             expected = block.out_conv(block.apf_conv(x_pyr))
         np.testing.assert_array_equal(out.data, expected.data)
@@ -144,7 +145,7 @@ class TestModelForward:
                 x = rand((2, 3, 64, 64), 40 + trial, dtype=np.float64)
                 labels = rng.integers(0, 4, size=(2, 64, 64))
                 main, aux = model(x)
-                loss = total_loss(main, aux, labels, OhemConfig(0.7, 64, 255))
+                loss, _ = total_loss(main, aux, labels, OhemConfig(0.7, 64, 255))
                 recorder.backward(loss)
                 alive |= {
                     name

@@ -118,7 +118,7 @@ class TestTotalLoss:
     def test_zero_weight_equals_main_term(self):
         main, aux, labels = self.make_case()
         cfg = OhemConfig(0.7, 2, 255)
-        combined = total_loss(main, aux, labels, cfg, aux_weight=0.0)
+        combined, _ = total_loss(main, aux, labels, cfg, aux_weight=0.0)
         alone = ohem_cross_entropy(main, labels, 0.7, 2, 255)
         assert combined.item() == alone.item()
 
@@ -130,23 +130,21 @@ class TestTotalLoss:
         labels = rng.integers(0, k, size=(1, h, w))
         cfg = OhemConfig(0.7, 2, 255)
         lam = 0.4
-        combined = total_loss(main, aux, labels, cfg, aux_weight=lam)
+        combined, _ = total_loss(main, aux, labels, cfg, aux_weight=lam)
         alone = ohem_cross_entropy(main, labels, 0.7, 2, 255)
         assert abs(combined.item() - (1 + 4 * lam) * alone.item()) < 1e-9
 
     def test_recomposes_from_terms(self):
         main, aux, labels = self.make_case(seed=6)
         cfg = OhemConfig(0.7, 3, 255)
-        combined, terms = total_loss(main, aux, labels, cfg, aux_weight=0.4, return_terms=True)
+        combined, terms = total_loss(main, aux, labels, cfg, aux_weight=0.4)
         expected = terms[0].item() + 0.4 * sum(t.item() for t in terms[1:])
         assert abs(combined.item() - expected) < 1e-12
 
     def test_plain_ce_flag(self):
         main, aux, labels = self.make_case(seed=7)
         cfg = OhemConfig(0.7, 1, 255)
-        _, terms = total_loss(
-            main, aux, labels, cfg, aux_weight=0.4, aux_ohem=False, return_terms=True
-        )
+        _, terms = total_loss(main, aux, labels, cfg, aux_weight=0.4, aux_ohem=False)
         plain = cross_entropy(
             ops.bilinear_upsample(aux[1], 4, 6), labels, 255
         )

@@ -9,6 +9,7 @@ from s2fpn.model import S2FPN, model_forward
 from s2fpn.pyramid import DepthwiseProjection, PyramidStage
 from s2fpn.verification import block_checks
 
+from capture import pyramid_stage_parts
 from oracles import conv2d_ref
 
 
@@ -80,7 +81,7 @@ class TestPyramidStage:
         stage = small_stage(seed=7)
         stage.cam.excite_conv.bias.data[...] = -1e9  # saturates the sigmoid at 0.0
         coarse, low = rand((1, 10, 4, 6), 8), rand((1, 6, 8, 12), 9)
-        out, aux, inter = stage(coarse, low, return_intermediates=True)
+        out, aux, inter = pyramid_stage_parts(stage, coarse, low)
         assert np.all(inter["channel_gate"].data == 0.0)
         assert np.all(inter["x_a"].data == 0.0)
         np.testing.assert_array_equal(inter["fused"].data, inter["x_b"].data)
@@ -88,7 +89,7 @@ class TestPyramidStage:
     def test_fused_recomposes_from_branches(self):
         stage = small_stage(seed=10)
         coarse, low = rand((1, 10, 4, 6), 11), rand((1, 6, 8, 12), 12)
-        _, _, inter = stage(coarse, low, return_intermediates=True)
+        _, _, inter = pyramid_stage_parts(stage, coarse, low)
         np.testing.assert_array_equal(
             inter["fused"].data, inter["x_a"].data + inter["x_b"].data
         )
@@ -96,7 +97,7 @@ class TestPyramidStage:
     def test_channel_gate_scales_planes_uniformly(self):
         stage = small_stage(seed=21)
         coarse, low = rand((1, 10, 4, 6), 22), rand((1, 6, 8, 12), 23)
-        _, _, inter = stage(coarse, low, return_intermediates=True)
+        _, _, inter = pyramid_stage_parts(stage, coarse, low)
         crb = inter["x_a"].data / inter["channel_gate"].data  # undo the gate
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = inter["x_a"].data / np.where(crb != 0, crb, np.nan)
@@ -108,9 +109,8 @@ class TestPyramidStage:
     def test_upsampled_dims_match_lateral(self):
         stage = small_stage(seed=13)
         for seed, (ch, cw, lh, lw) in enumerate([(3, 5, 6, 10), (4, 4, 8, 8), (2, 6, 4, 12)]):
-            _, _, inter = stage(
-                rand((1, 10, ch, cw), 20 + seed), rand((1, 6, lh, lw), 30 + seed),
-                return_intermediates=True,
+            _, _, inter = pyramid_stage_parts(
+                stage, rand((1, 10, ch, cw), 20 + seed), rand((1, 6, lh, lw), 30 + seed)
             )
             assert inter["upsampled"].shape[2:] == inter["lateral"].shape[2:]
 

@@ -77,8 +77,8 @@ def test_model_round_trip_identical_forward(tmp_path):
     path = tmp_path / "net.ckpt"
     save_model(path, net)
     other = SmallNet(seed=99)
-    loaded, missing, unexpected = load_model(path, other)
-    assert not missing and not unexpected
+    loaded, unexpected = load_model(path, other)
+    assert not unexpected
     other.eval()
     with no_grad():
         after = other(x).data
@@ -91,7 +91,14 @@ def test_missing_entry_reported(tmp_path):
     del entries["bn.gamma"]
     path = tmp_path / "partial.ckpt"
     write_checkpoint(path, entries)
-    _, missing, unexpected = load_model(path, SmallNet(seed=5))
+    # load_model refuses the file, naming the entry, and copies nothing
+    target = SmallNet(seed=5)
+    before = {name: arr.copy() for name, arr in target.state_dict().items()}
+    with pytest.raises(CheckpointError, match="bn.gamma"):
+        load_model(path, target)
+    assert all(np.array_equal(arr, before[name]) for name, arr in target.state_dict().items())
+    # a partial import stays possible through load_state_dict
+    _, missing, unexpected = target.load_state_dict(read_checkpoint(path))
     assert missing == ["bn.gamma"]
     assert unexpected == []
 
@@ -100,8 +107,7 @@ def test_extra_entry_reported_not_fatal(tmp_path):
     net = SmallNet()
     path = tmp_path / "extra.ckpt"
     save_model(path, net, extra={"optim.step": np.asarray([3.0])})
-    _, missing, unexpected = load_model(path, SmallNet(seed=5))
-    assert not missing
+    _, unexpected = load_model(path, SmallNet(seed=5))
     assert unexpected == ["optim.step"]
 
 

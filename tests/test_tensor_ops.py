@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from s2fpn import Parameter, Tensor, ops, tape, using_dtype
-from s2fpn.errors import ShapeError, StateError
+from s2fpn import Parameter, Tensor, ops, set_debug_checks, tape, tensor, using_dtype
+from s2fpn.errors import NumericCheckError, ShapeError, StateError
 from s2fpn.gradcheck import grad_check
 from s2fpn.ops import _im2col
 
@@ -459,6 +459,20 @@ class TestSimpleOps:
     def test_dropout_rejects_bad_p(self):
         with pytest.raises(ValueError):
             ops.dropout(t(np.zeros((1, 1, 1, 1))), 1.0, mode="train", rng=np.random.default_rng(0))
+
+
+class TestNumericGuard:
+    def test_nan_named_only_while_guard_is_on(self):
+        x = t(np.array([np.nan, 1.0]).reshape(1, 1, 1, 2))
+        assert tensor._debug_checks is False
+        set_debug_checks(True)
+        try:
+            with pytest.raises(NumericCheckError, match="relu"):
+                ops.relu(x)
+        finally:
+            set_debug_checks(False)
+        assert tensor._debug_checks is False
+        assert np.isnan(ops.relu(x).data).any()
 
 
 class TestDeterminism:

@@ -25,14 +25,13 @@ _STAGE_STRIDES = {"r18": (1, 2, 2, 2), "r34": (1, 2, 2, 2), "r34m": (1, 1, 2, 2)
 
 @dataclass
 class FeatureHierarchy:
-    """Backbone taps f1..f5 with their downsampling factors."""
+    """Backbone taps f1..f5 (downsampling factors: `Backbone.feature_strides`)."""
 
     f1: Tensor
     f2: Tensor
     f3: Tensor
     f4: Tensor
     f5: Tensor
-    strides: tuple[int, int, int, int, int]
 
     def __iter__(self):
         return iter((self.f1, self.f2, self.f3, self.f4, self.f5))
@@ -121,7 +120,7 @@ class Backbone(Module):
         f3 = self.layer2(f2)
         f4 = self.layer3(f3)
         f5 = self.layer4(f4)
-        return FeatureHierarchy(f1, f2, f3, f4, f5, self.feature_strides)
+        return FeatureHierarchy(f1, f2, f3, f4, f5)
 
 
 def build_backbone(variant: str, rng: np.random.Generator | None = None) -> Backbone:

@@ -26,7 +26,7 @@ from .errors import (
 from .imageio import read_ppm, write_pgm, write_ppm
 from .model import S2FPN
 from .serialize import load_model
-from .tensor import no_grad, set_default_dtype
+from .tensor import default_dtype, no_grad, using_dtype
 from .trainer import Trainer, evaluate_model
 from .verification import ALL_SCOPES, run_verification
 
@@ -234,14 +234,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.f64:
-            set_default_dtype(np.float64)
-        try:
-            with thread_limit(args.threads):
-                return _COMMANDS[args.command](args)
-        finally:
-            if args.f64:
-                set_default_dtype(np.float32)
+        dtype = np.float64 if args.f64 else default_dtype()
+        with using_dtype(dtype), thread_limit(args.threads):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -104,6 +104,7 @@ _RANGES = {
     **dict.fromkeys(("epochs", "ohem_min_kept", "seed"), _NON_NEGATIVE),
     "dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
     "flip_prob": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "ignore_index": ("in 0..255 (labels are 8-bit)", lambda v: 0 <= v <= 255),
 }
 
 
@@ -140,15 +141,3 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
 
-
-def dump_config(cfg: RunConfig) -> str:
-    reverse = {attr: key for key, (attr, _) in _KEY_MAP.items()}
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{reverse.get(f.name, f.name)} = {value}")
-    return "\n".join(lines) + "\n"

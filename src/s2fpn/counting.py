@@ -13,9 +13,3 @@ def current_counter():
 
 def set_counter(counter) -> None:
     _local.counter = counter
-
-
-def add_flops(n: int) -> None:
-    counter = getattr(_local, "counter", None)
-    if counter is not None:
-        counter.add(int(n))

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ShapeError
-from .tensor import Tensor, as_tensor, grad_enabled, tape
+from .errors import DataError, ShapeError
+from .tensor import Tensor, as_tensor
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,12 @@ def ohem_cross_entropy(
         )
     labels = labels.astype(np.int64)
     valid = labels != ignore_index
+    bad = valid & ((labels < 0) | (labels >= k))
+    if bad.any():
+        raise DataError(
+            f"label value {labels[bad][0]} is outside [0, {k}) and is not the "
+            f"ignore index {ignore_index}"
+        )
     flat_valid = valid.reshape(-1)
     selected = np.zeros_like(flat_valid)
     safe_labels = np.where(valid, labels, 0)
@@ -61,6 +67,7 @@ def ohem_cross_entropy(
     p_true = np.exp(logp_true)
     n_valid = int(flat_valid.sum())
     all_ignored = n_valid == 0
+    n_sel = 0
     if all_ignored:
         log.warning("ohem_cross_entropy: every pixel carries the ignore label")
         loss_value = np.zeros((), dtype=logits.dtype)
@@ -78,31 +85,28 @@ def ohem_cross_entropy(
         loss_value = np.asarray(
             -(logp_true.reshape(-1)[selected]).sum() / n_sel, dtype=logits.dtype
         )
+    sel_map = selected.reshape(n, h, w)
 
-    needs_grad = grad_enabled() and logits.requires_grad
-    loss = Tensor(loss_value, requires_grad=needs_grad, dtype=logits.dtype.type)
-    if needs_grad and not all_ignored:
-        sel_map = selected.reshape(n, h, w)
-        n_sel = int(selected.sum())
+    def backward(g):
+        if all_ignored:
+            return (None,)
+        probs = np.exp(logp)
+        grad = probs
+        np.put_along_axis(
+            grad,
+            safe_labels[:, None],
+            np.take_along_axis(grad, safe_labels[:, None], axis=1) - 1.0,
+            axis=1,
+        )
+        grad *= (sel_map[:, None] * (g / n_sel)).astype(grad.dtype)
+        return (np.ascontiguousarray(grad),)
 
-        def backward(g):
-            probs = np.exp(logp)
-            grad = probs
-            np.put_along_axis(
-                grad,
-                safe_labels[:, None],
-                np.take_along_axis(grad, safe_labels[:, None], axis=1) - 1.0,
-                axis=1,
-            )
-            grad *= (sel_map[:, None] * (g / n_sel)).astype(grad.dtype)
-            return (np.ascontiguousarray(grad),)
-
-        tape().record(loss, (logits,), backward)
+    loss = ops._make(loss_value, (logits,), backward, "ohem_cross_entropy")
     if return_details:
         return loss, {
-            "selected": selected.reshape(n, h, w),
+            "selected": sel_map,
             "true_class_prob": p_true,
-            "num_selected": int(selected.sum()),
+            "num_selected": n_sel,
             "num_valid": n_valid,
             "all_ignored": all_ignored,
         }

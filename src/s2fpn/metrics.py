@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 
 class ConfusionMatrix:
@@ -12,7 +12,7 @@ class ConfusionMatrix:
 
     Pixels carrying the ignore label are never counted, so the total count
     equals the number of scored pixels. Accumulation is integer addition,
-    hence exact and order-independent; shards merge by summation.
+    hence exact and order-independent.
     """
 
     def __init__(self, num_classes: int, ignore_index: int = 255):
@@ -30,20 +30,19 @@ class ConfusionMatrix:
         keep = ground_truth != self.ignore_index
         gt = ground_truth[keep].astype(np.int64)
         pred = prediction[keep].astype(np.int64)
-        if gt.size and (
-            min(gt.min(), pred.min()) < 0
-            or max(gt.max(), pred.max()) >= self.num_classes
-        ):
+        if gt.size and (gt.min() < 0 or gt.max() >= self.num_classes):
+            bad = gt[(gt < 0) | (gt >= self.num_classes)][0]
+            raise DataError(
+                f"ground-truth label {bad} out of range for {self.num_classes} classes"
+            )
+        if pred.size and (pred.min() < 0 or pred.max() >= self.num_classes):
             raise ShapeError(
-                f"class id out of range for {self.num_classes} classes"
+                f"predicted class id out of range for {self.num_classes} classes"
             )
         flat = gt * self.num_classes + pred
         self.counts += np.bincount(flat, minlength=self.num_classes**2).reshape(
             self.num_classes, self.num_classes
         )
-
-    def merge(self, other: "ConfusionMatrix") -> None:
-        self.counts += other.counts
 
     @property
     def total(self) -> int:

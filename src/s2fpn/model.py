@@ -9,7 +9,7 @@ from .decoder import GlobalFeatureUpsample, SegHead
 from .errors import ConfigError
 from .nn import Module
 from .pyramid import AttentionPyramid, DepthwiseProjection
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 
 def pyramid_widths(top_width: int) -> dict[int, int]:
@@ -81,21 +81,3 @@ class S2FPN(Module):
             return main, aux_logits
         return main
 
-
-def model_forward(model: S2FPN, x: Tensor, mode: str = "eval"):
-    """Run a forward pass in the requested mode, restoring the previous one.
-
-    Train mode returns (main_logits, aux_logits); eval mode returns the
-    main logits only and skips tape recording.
-    """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be train or eval, got {mode!r}")
-    was_training = model.training
-    model.train(mode == "train")
-    try:
-        if mode == "eval":
-            with no_grad():
-                return model(x)
-        return model(x)
-    finally:
-        model.train(was_training)

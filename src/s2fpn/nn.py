@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from . import ops
@@ -14,7 +16,7 @@ from .tensor import Parameter, Tensor, default_dtype
 class Module:
     """Base class with automatic registration of parameters and children.
 
-    Dotted names produced by `named_parameters`/`state_entries` are what the
+    Dotted names produced by `named_parameters`/`state_dict` are what the
     checkpoint format stores, so attribute names are part of the interface.
     """
 
@@ -36,49 +38,41 @@ class Module:
         self._buffers[name] = tensor
         object.__setattr__(self, name, tensor)
 
+    def named_modules(self):
+        """(dotted name, module) over the tree in pre-order, the root as "".
+        Every other walk derives from this one, so checkpoints list entries
+        in this order."""
+        stack = [("", self)]
+        while stack:
+            prefix, module = stack.pop()
+            yield prefix, module
+            children = reversed(module._modules.items())
+            stack.extend((_dotted(prefix, name), child) for name, child in children)
+
     def modules(self):
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
+        return (module for _, module in self.named_modules())
 
-    def named_modules(self, prefix: str = ""):
-        yield prefix, self
-        for name, child in self._modules.items():
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from child.named_modules(child_prefix)
+    def named_parameters(self):
+        for prefix, module in self.named_modules():
+            for name, p in module._params.items():
+                yield _dotted(prefix, name), p
 
-    def named_parameters(self, prefix: str = ""):
-        for name, p in self._params.items():
-            yield (f"{prefix}.{name}" if prefix else name), p
-        for name, child in self._modules.items():
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from child.named_parameters(child_prefix)
-
-    def named_buffers(self, prefix: str = ""):
-        for name, b in self._buffers.items():
-            yield (f"{prefix}.{name}" if prefix else name), b
-        for name, child in self._modules.items():
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from child.named_buffers(child_prefix)
+    def named_buffers(self):
+        for prefix, module in self.named_modules():
+            for name, b in module._buffers.items():
+                yield _dotted(prefix, name), b
 
     def parameters(self):
-        for _, p in self.named_parameters():
-            yield p
+        return (p for _, p in self.named_parameters())
 
-    def assign_parameter_names(self, prefix: str = "") -> None:
+    def assign_parameter_names(self) -> None:
         """Stamp each Parameter with its dotted name (checkpoint identity)."""
-        for name, p in self.named_parameters(prefix):
+        for name, p in self.named_parameters():
             p.name = name
 
-    def state_entries(self, prefix: str = ""):
-        """(name, array, is_parameter) for every parameter and buffer."""
-        for name, p in self.named_parameters(prefix):
-            yield name, p.data, True
-        for name, b in self.named_buffers(prefix):
-            yield name, b.data, False
-
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: arr for name, arr, _ in self.state_entries()}
+        """Every parameter, then every buffer, by dotted name."""
+        return {name: t.data for name, t in chain(self.named_parameters(), self.named_buffers())}
 
     def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = False):
         """Copy name-matched arrays into parameters/buffers.
@@ -86,8 +80,7 @@ class Module:
         Returns (loaded_names, missing_in_state, unexpected_in_state).
         Shape mismatches always raise, naming the offending tensor.
         """
-        own: dict[str, Tensor] = dict(self.named_parameters())
-        own.update(self.named_buffers())
+        own: dict[str, Tensor] = dict(chain(self.named_parameters(), self.named_buffers()))
         missing = [name for name in own if name not in state]
         loaded, unexpected = [], []
         for name, arr in state.items():
@@ -133,6 +126,10 @@ class Module:
             return self.forward(*args, **kwargs)
         finally:
             counter.leave()
+
+
+def _dotted(prefix: str, name: str) -> str:
+    return f"{prefix}.{name}" if prefix else name
 
 
 def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -9,15 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counting import add_flops
+from .counting import current_counter
 from .errors import ShapeError, StateError
 from .tensor import Tensor, as_tensor, check_output, grad_enabled, tape
 
 _AXIS_NAMES = {"C": 1, "H": 2, "W": 3}
 
 
-def _make(data, inputs, backward, op: str) -> Tensor:
+def _make(data, inputs, backward, op: str, flops: int = 0) -> Tensor:
+    """Every kernel's result goes through here: the finiteness guard names
+    `op`, the cost counter gets `flops`, and the tape records `backward`
+    when an input needs a gradient."""
     check_output(data, op)
+    counter = current_counter()
+    if counter is not None and flops:
+        counter.add(int(flops))
     needs = grad_enabled() and any(
         t is not None and t.requires_grad for t in inputs
     )
@@ -76,8 +82,7 @@ def elementwise(a, b, op: str) -> Tensor:
 
     else:
         raise ValueError(f"unknown elementwise op {op!r}")
-    add_flops(data.size)
-    return _make(data, (a, b), backward, op)
+    return _make(data, (a, b), backward, op, data.size)
 
 
 def add(a, b) -> Tensor:
@@ -112,8 +117,7 @@ def tensor_sum(x) -> Tensor:
     def backward(g):
         return (np.full_like(x.data, g),)
 
-    add_flops(x.size)
-    return _make(data, (x,), backward, "sum")
+    return _make(data, (x,), backward, "sum", x.size)
 
 
 def tensor_mean(x) -> Tensor:
@@ -123,8 +127,7 @@ def tensor_mean(x) -> Tensor:
     def backward(g):
         return (np.full_like(x.data, g / x.data.size),)
 
-    add_flops(x.size)
-    return _make(data, (x,), backward, "mean")
+    return _make(data, (x,), backward, "mean", x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +143,7 @@ def relu(x) -> Tensor:
     def backward(g):
         return (g * (data > 0),)
 
-    add_flops(x.size)
-    return _make(data, (x,), backward, "relu")
+    return _make(data, (x,), backward, "relu", x.size)
 
 
 def sigmoid(x) -> Tensor:
@@ -157,8 +159,7 @@ def sigmoid(x) -> Tensor:
     def backward(g):
         return (np.ascontiguousarray(g * out * (1.0 - out)),)
 
-    add_flops(4 * x.size)
-    return _make(out, (x,), backward, "sigmoid")
+    return _make(out, (x,), backward, "sigmoid", 4 * x.size)
 
 
 def softmax(x, axis) -> Tensor:
@@ -179,8 +180,7 @@ def softmax(x, axis) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (np.ascontiguousarray((g - inner) * out),)
 
-    add_flops(5 * x.size)
-    return _make(out, (x,), backward, "softmax")
+    return _make(out, (x,), backward, "softmax", 5 * x.size)
 
 
 def dropout(x, p: float, mode: str = "train", rng: np.random.Generator | None = None) -> Tensor:
@@ -203,8 +203,7 @@ def dropout(x, p: float, mode: str = "train", rng: np.random.Generator | None = 
     def backward(g):
         return (np.ascontiguousarray(np.where(keep, g * scale, 0)),)
 
-    add_flops(x.size)
-    return _make(data, (x,), backward, "dropout")
+    return _make(data, (x,), backward, "dropout", x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +248,7 @@ def strip_pool(x, mode: str = "avg") -> Tensor:
 
     else:
         raise ValueError(f"strip_pool mode must be avg or max, got {mode!r}")
-    add_flops(x.size)
-    return _make(data, (x,), backward, "strip_pool")
+    return _make(data, (x,), backward, "strip_pool", x.size)
 
 
 def global_avg_pool(x) -> Tensor:
@@ -265,8 +263,7 @@ def global_avg_pool(x) -> Tensor:
     def backward(g):
         return (np.ascontiguousarray(np.broadcast_to(g / (h * w), x.shape)),)
 
-    add_flops(x.size)
-    return _make(data, (x,), backward, "global_avg_pool")
+    return _make(data, (x,), backward, "global_avg_pool", x.size)
 
 
 def _pool_taps(size: int, out: int, kernel: int, stride: int, padding: int):
@@ -313,8 +310,7 @@ def max_pool(x, kernel: int, stride: int, padding: int = 0) -> Tensor:
             gx[:, :, ii, ij] += np.where(hit, g[:, :, oi, oj], 0)
         return (gx,)
 
-    add_flops(kernel * kernel * data.size)
-    return _make(data, (x,), backward, "max_pool")
+    return _make(data, (x,), backward, "max_pool", kernel * kernel * data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +355,7 @@ def bilinear_upsample(x, out_h: int, out_w: int) -> Tensor:
         gx = np.einsum("oh,ncop,pw->nchw", mh, g, mw, optimize=True)
         return (np.ascontiguousarray(gx),)
 
-    add_flops(4 * data.size)
-    return _make(data, (x,), backward, "bilinear_upsample")
+    return _make(data, (x,), backward, "bilinear_upsample", 4 * data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +490,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
         return grad_x, grad_w, grad_b
 
     out_els = n * out_c * oh * ow
-    add_flops(2 * out_els * k + (out_els if bias is not None else 0))
-    return _make(out, (x, weight, bias), backward, "conv2d")
+    flops = 2 * out_els * k + (out_els if bias is not None else 0)
+    return _make(out, (x, weight, bias), backward, "conv2d", flops)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +573,7 @@ def batch_norm(
 
     else:
         raise ValueError(f"batch_norm mode must be train or eval, got {mode!r}")
-    add_flops(2 * x.size)
-    return _make(np.ascontiguousarray(out), (x, gamma, beta), backward, "batch_norm")
+    return _make(np.ascontiguousarray(out), (x, gamma, beta), backward, "batch_norm", 2 * x.size)
 
 
 # ---------------------------------------------------------------------------

@@ -104,11 +104,6 @@ class PyramidStage(Module):
         lat = self.lateral(low)
         up = ops.bilinear_upsample(coarse, low.shape[2], low.shape[3])
         up = self.coarse_proj(up)
-        if up.shape[2:] != lat.shape[2:]:
-            raise ShapeError(
-                f"upsampled coarse {up.shape} does not match lateral {lat.shape} "
-                f"at pyramid level {self.level}"
-            )
         refined = self.frb(ops.concat([up, lat], axis=1))
         gate = self.cam(refined)
         x_a = self.crb_conv(lat) * gate

@@ -134,14 +134,6 @@ def _read_entries(fh, path: Path, file_size: int) -> dict[str, np.ndarray]:
     return out
 
 
-def save_model(path, model, extra: dict[str, np.ndarray] | None = None) -> None:
-    entries = model.state_dict()
-    if extra:
-        for name, arr in extra.items():
-            entries[name] = np.asarray(arr)
-    write_checkpoint(path, entries)
-
-
 def require_entries(path, entries: dict[str, np.ndarray], names) -> None:
     """Refuse a checkpoint that lacks any of `names`, naming every one."""
     missing = [name for name in names if name not in entries]

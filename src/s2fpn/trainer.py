@@ -150,7 +150,7 @@ class Trainer:
         recorder.reset()
         return lr, [loss.item()] + [t.item() for t in terms[1:]]
 
-    def run(self, resume=None, log_every: int = 1) -> dict:
+    def run(self, resume=None) -> dict:
         if resume is not None:
             self.load_checkpoint(resume)
         has_val = "val" in self.dataset.splits
@@ -158,14 +158,11 @@ class Trainer:
             for iteration in range(self.start_iter, self.max_iter):
                 lr, losses = self.train_step(iteration)
                 self.loss_history.append(losses[0])
-                if iteration % log_every == 0 or iteration == self.max_iter - 1:
-                    aux_part = ""
-                    if len(losses) > 1:
-                        aux_part = " aux " + " ".join(f"{v:.6f}" for v in losses[1:])
-                    log_file.write(
-                        f"iter {iteration} lr {lr:.8f} loss {losses[0]:.6f}{aux_part}\n"
-                    )
-                    log_file.flush()
+                aux_part = ""
+                if len(losses) > 1:
+                    aux_part = " aux " + " ".join(f"{v:.6f}" for v in losses[1:])
+                log_file.write(f"iter {iteration} lr {lr:.8f} loss {losses[0]:.6f}{aux_part}\n")
+                log_file.flush()
                 epoch_done = (iteration + 1) % self.iters_per_epoch == 0
                 epoch = (iteration + 1) // self.iters_per_epoch
                 if epoch_done and epoch % self.cfg.checkpoint_every == 0:

@@ -17,7 +17,7 @@ from s2fpn.config import RunConfig
 from s2fpn.dataset import SegDataset
 from s2fpn.losses import ohem_cross_entropy
 from s2fpn.metrics import ConfusionMatrix
-from s2fpn.model import S2FPN, model_forward
+from s2fpn.model import S2FPN
 from s2fpn.optim import Adam, poly_lr
 from s2fpn.pyramid import PyramidStage
 from s2fpn.synthetic import make_toy_corpus
@@ -249,7 +249,7 @@ class TestCriterion5StructuralInvariants:
         )
 
         model = S2FPN("r18", 64, 6, seed=0)
-        _, aux = model_forward(model, Tensor(np.zeros((1, 3, 64, 128), dtype=np.float32)), "train")
+        _, aux = model.train()(Tensor(np.zeros((1, 3, 64, 128), dtype=np.float32)))
         shapes = [a.shape[2:] for a in aux]
         verdict(
             "criterion 5d: four aux heads at strides 4, 8, 16, 32",

@@ -7,7 +7,7 @@ from s2fpn import Tensor, no_grad
 from s2fpn.analysis import count_params
 from s2fpn.backbone import build_backbone
 from s2fpn.errors import CheckpointError, ConfigError, ShapeError
-from s2fpn.serialize import load_model, read_checkpoint, save_model, write_checkpoint
+from s2fpn.serialize import load_model, read_checkpoint, write_checkpoint
 
 
 def forward(bb, h, w, seed=0):
@@ -111,7 +111,7 @@ class TestImportWeights:
         bb.assign_parameter_names()
         before = forward(bb.eval(), 32, 32, seed=3).f5.data.copy()
         path = tmp_path / "bb.ckpt"
-        save_model(path, bb)
+        write_checkpoint(path, bb.state_dict())
         other = build_backbone("r18")
         loaded, unexpected = load_model(path, other)
         assert len(loaded) == len(list(other.named_parameters())) + len(list(other.named_buffers()))

@@ -7,7 +7,7 @@ from s2fpn import Tensor, no_grad, tape, using_dtype
 from s2fpn.decoder import GlobalFeatureUpsample
 from s2fpn.errors import ConfigError
 from s2fpn.losses import OhemConfig, total_loss
-from s2fpn.model import S2FPN, model_forward
+from s2fpn.model import S2FPN
 from s2fpn.ops import tensor_sum
 from s2fpn.verification import block_checks
 
@@ -101,7 +101,7 @@ class TestGlobalFeatureUpsample:
 class TestModelForward:
     def test_toy_shapes(self):
         model = S2FPN("r18", pyramid_width=64, num_classes=7, seed=0)
-        main, aux = model_forward(model, rand((1, 3, 64, 128), 1), "train")
+        main, aux = model.train()(rand((1, 3, 64, 128), 1))
         assert main.shape == (1, 7, 64, 128)
         assert [a.shape for a in aux] == [
             (1, 7, 16, 32),
@@ -113,15 +113,16 @@ class TestModelForward:
     def test_eval_returns_main_only_and_is_deterministic(self):
         model = S2FPN("r18", pyramid_width=64, num_classes=5, seed=0)
         x = rand((1, 3, 64, 64), 2)
-        first = model_forward(model, x, "eval")
-        second = model_forward(model, x, "eval")
+        model.eval()
+        with no_grad():
+            first, second = model(x), model(x)
         assert isinstance(first, Tensor)
         assert np.array_equal(first.data, second.data)
 
     def test_r34m_doubles_aux_resolutions_of_deep_levels(self):
         x = rand((1, 3, 64, 128), 3)
-        _, aux34 = model_forward(S2FPN("r34", 64, 5, seed=0), x, "train")
-        _, aux34m = model_forward(S2FPN("r34m", 64, 5, seed=0), x, "train")
+        _, aux34 = S2FPN("r34", 64, 5, seed=0).train()(x)
+        _, aux34m = S2FPN("r34m", 64, 5, seed=0).train()(x)
         for i in (1, 2, 3):
             assert aux34m[i].shape[2] == 2 * aux34[i].shape[2]
 
@@ -164,10 +165,7 @@ class TestModelForward:
         model.train()
         with no_grad():
             train_main, _ = model(x)
-        eval_main = model_forward(model, x, "eval")
+        model.eval()
+        with no_grad():
+            eval_main = model(x)
         np.testing.assert_allclose(train_main.data, eval_main.data, atol=1e-5)
-
-    def test_bad_mode_rejected(self):
-        model = S2FPN("r18", pyramid_width=32, num_classes=4, seed=0)
-        with pytest.raises(ConfigError):
-            model_forward(model, rand((1, 3, 64, 64), 6), "predict")

@@ -1,13 +1,22 @@
 """Static checks over the package source (no linter is a dependency)."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import s2fpn
 
-SOURCES = sorted(p for p in Path(s2fpn.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(s2fpn.__file__).parent
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+# where the product reaches package code from: the package itself, the
+# benchmark and the documented interface (tests do not count)
+PRODUCT = "\n".join(
+    p.read_text()
+    for p in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"), ROOT / "README.md"]
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +42,21 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreached_definitions(source: str, product: str) -> list[str]:
+    """Top-level def/class names of `source` that `product` names only once,
+    at the definition itself."""
+    tree = ast.parse(source)
+    names = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    return [name for name in names if len(re.findall(rf"\b{name}\b", product)) < 2]
+
+
+def test_detects_a_definition_named_nowhere_else():
+    source = "def used():\n    pass\n\n\ndef orphan():\n    return used()\n"
+    assert unreached_definitions(source, source) == ["orphan"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_definition_only_tests_reach(path):
+    assert unreached_definitions(path.read_text(), PRODUCT) == []

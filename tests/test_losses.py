@@ -5,6 +5,7 @@ import pytest
 
 from s2fpn import Parameter, Tensor, ops, tape, using_dtype
 from s2fpn.augment import AugmentConfig, SampleRecord, augment, resize_label, rng_for_sample
+from s2fpn.errors import DataError
 from s2fpn.losses import OhemConfig, cross_entropy, ohem_cross_entropy, total_loss
 from s2fpn.optim import Adam, poly_lr
 
@@ -76,6 +77,20 @@ class TestOhem:
         loss, details = ohem_cross_entropy(logits, labels, return_details=True)
         assert loss.item() == 0.0
         assert details["all_ignored"]
+
+    def test_all_ignored_backward_leaves_zero_gradient(self):
+        logits = Parameter(np.random.default_rng(1).standard_normal((1, 3, 2, 2)))
+        loss = ohem_cross_entropy(logits, np.full((1, 2, 2), 255))
+        tape().backward(loss)
+        tape().reset()
+        assert np.array_equal(logits.grad, np.zeros_like(logits.data))
+
+    @pytest.mark.parametrize("bad", [4, 9, -1])
+    def test_label_outside_class_range_is_data_error(self, bad):
+        logits = Tensor(np.zeros((1, 4, 2, 2)))
+        labels = np.array([[[0, 3], [bad, 255]]])
+        with pytest.raises(DataError, match=f"label value {bad} "):
+            ohem_cross_entropy(logits, labels)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)

@@ -5,7 +5,7 @@ import pytest
 
 from s2fpn import Tensor, no_grad
 from s2fpn.errors import ShapeError
-from s2fpn.model import S2FPN, model_forward
+from s2fpn.model import S2FPN
 from s2fpn.pyramid import DepthwiseProjection, PyramidStage
 from s2fpn.verification import block_checks
 
@@ -124,12 +124,12 @@ class TestPyramidChain:
         model = S2FPN("r18", pyramid_width=64, num_classes=5, seed=0)
         assert sorted(model.apf._modules) == ["2", "3", "4", "5"]
         x = rand((1, 3, 64, 128), 1)
-        _, aux = model_forward(model, x, "train")
+        _, aux = model.train()(x)
         assert len(aux) == 4
 
     def test_aux_resolutions_follow_strides(self):
         model = S2FPN("r18", pyramid_width=64, num_classes=5, seed=0)
-        _, aux = model_forward(model, rand((1, 3, 64, 128), 2), "train")
+        _, aux = model.train()(rand((1, 3, 64, 128), 2))
         expected = [(16, 32), (8, 16), (4, 8), (2, 4)]  # strides 4, 8, 16, 32
         assert [a.shape[2:] for a in aux] == expected
 
@@ -137,8 +137,8 @@ class TestPyramidChain:
         a = S2FPN("r34", pyramid_width=64, num_classes=5, seed=0)
         b = S2FPN("r34m", pyramid_width=64, num_classes=5, seed=0)
         x = rand((1, 3, 64, 128), 3)
-        _, aux34 = model_forward(a, x, "train")
-        _, aux34m = model_forward(b, x, "train")
+        _, aux34 = a.train()(x)
+        _, aux34m = b.train()(x)
         # levels 3..5 double; level 2 sits at stride 4 under both variants
         assert aux34m[0].shape == aux34[0].shape
         for i in (1, 2, 3):

@@ -10,7 +10,7 @@ import pytest
 from s2fpn import serialize
 from s2fpn.errors import CheckpointError, ShapeError
 from s2fpn.nn import BatchNorm2d, Conv2d, Module
-from s2fpn.serialize import MAGIC, load_model, read_checkpoint, save_model, write_checkpoint
+from s2fpn.serialize import MAGIC, load_model, read_checkpoint, write_checkpoint
 
 
 class SmallNet(Module):
@@ -75,7 +75,7 @@ def test_model_round_trip_identical_forward(tmp_path):
     with no_grad():
         before = net(x).data.copy()
     path = tmp_path / "net.ckpt"
-    save_model(path, net)
+    write_checkpoint(path, net.state_dict())
     other = SmallNet(seed=99)
     loaded, unexpected = load_model(path, other)
     assert not unexpected
@@ -106,7 +106,7 @@ def test_missing_entry_reported(tmp_path):
 def test_extra_entry_reported_not_fatal(tmp_path):
     net = SmallNet()
     path = tmp_path / "extra.ckpt"
-    save_model(path, net, extra={"optim.step": np.asarray([3.0])})
+    write_checkpoint(path, {**net.state_dict(), "optim.step": np.asarray([3.0])})
     _, unexpected = load_model(path, SmallNet(seed=5))
     assert unexpected == ["optim.step"]
 

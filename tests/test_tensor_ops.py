@@ -8,6 +8,7 @@ import pytest
 from s2fpn import Parameter, Tensor, ops, set_debug_checks, tape, tensor, using_dtype
 from s2fpn.errors import NumericCheckError, ShapeError, StateError
 from s2fpn.gradcheck import grad_check
+from s2fpn.losses import ohem_cross_entropy
 from s2fpn.ops import _im2col
 
 from oracles import (
@@ -473,6 +474,17 @@ class TestNumericGuard:
             set_debug_checks(False)
         assert tensor._debug_checks is False
         assert np.isnan(ops.relu(x).data).any()
+
+    def test_nan_in_logits_names_the_loss(self):
+        logits = t(np.array([np.nan, 1.0]).reshape(1, 2, 1, 1))
+        labels = np.zeros((1, 1, 1), dtype=np.int64)
+        set_debug_checks(True)
+        try:
+            with pytest.raises(NumericCheckError, match="ohem_cross_entropy"):
+                ohem_cross_entropy(logits, labels)
+        finally:
+            set_debug_checks(False)
+        assert np.isnan(ohem_cross_entropy(logits, labels).item())
 
 
 class TestDeterminism:

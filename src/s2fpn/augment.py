@@ -7,38 +7,10 @@ which keeps the pipeline reproducible regardless of worker layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import RunConfig
 from .ops import interp_matrix
-
-
-@dataclass
-class AugmentConfig:
-    scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
-    flip_prob: float = 0.5
-    crop: tuple[int, int] = (512, 1024)
-    ignore_index: int = 255
-
-
-@dataclass
-class SampleRecord:
-    """One training sample: normalized image (3, H, W) and class-id map."""
-
-    image: np.ndarray
-    label: np.ndarray
-
-    def __post_init__(self):
-        if self.image.ndim != 3 or self.label.ndim != 2:
-            raise ValueError(
-                f"expected (C, H, W) image and (H, W) label, got "
-                f"{self.image.shape} / {self.label.shape}"
-            )
-        if self.image.shape[1:] != self.label.shape:
-            raise ValueError(
-                f"image {self.image.shape} and label {self.label.shape} disagree"
-            )
 
 
 def resize_image(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -73,8 +45,9 @@ def pad_to(image: np.ndarray, label: np.ndarray, min_h: int, min_w: int, ignore_
     return padded, label_pad
 
 
-def augment(sample: SampleRecord, rng: np.random.Generator, cfg: AugmentConfig) -> SampleRecord:
-    image, label = sample.image, sample.label
+def augment(
+    image: np.ndarray, label: np.ndarray, rng: np.random.Generator, cfg: RunConfig
+) -> tuple[np.ndarray, np.ndarray]:
     scale = cfg.scales[int(rng.integers(len(cfg.scales)))]
     if scale != 1.0:
         out_h = max(1, round(image.shape[1] * scale))
@@ -84,13 +57,13 @@ def augment(sample: SampleRecord, rng: np.random.Generator, cfg: AugmentConfig) 
     if rng.random() < cfg.flip_prob:
         image = np.ascontiguousarray(image[:, :, ::-1])
         label = np.ascontiguousarray(label[:, ::-1])
-    crop_h, crop_w = cfg.crop
+    crop_h, crop_w = cfg.crop_h, cfg.crop_w
     image, label = pad_to(image, label, crop_h, crop_w, cfg.ignore_index)
     top = int(rng.integers(image.shape[1] - crop_h + 1))
     left = int(rng.integers(image.shape[2] - crop_w + 1))
     image = np.ascontiguousarray(image[:, top : top + crop_h, left : left + crop_w])
     label = np.ascontiguousarray(label[top : top + crop_h, left : left + crop_w])
-    return SampleRecord(image=image, label=label)
+    return image, label
 
 
 def rng_for_sample(global_seed: int, sample_index: int) -> np.random.Generator:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -40,24 +41,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _number(convert, rule: str, test):
+    """argparse type: the number `convert` reads from the text, refused
+    unless `test` holds for it (`rule` says what that is)."""
 
-    def parse(text: str) -> int:
-        if not text.removeprefix("-").isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return int(text)
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan  # fails every test
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
 
     return parse
 
 
-_POSITIVE = _at_least(1)
+_POSITIVE = _number(int, "an integer >= 1", lambda v: v >= 1)
+_NON_NEGATIVE = _number(int, "an integer >= 0", lambda v: v >= 0)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="s2fpn", description=__doc__)
     parser.add_argument("--config", help="run configuration file (key = value lines)")
-    parser.add_argument("--seed", type=_at_least(0), help="override the configured seed")
+    parser.add_argument("--seed", type=_NON_NEGATIVE, help="override the configured seed")
     parser.add_argument("--threads", type=_POSITIVE, help="cap BLAS threads for the command")
     parser.add_argument("--f64", action="store_true", help="run in float64")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +81,8 @@ def build_parser() -> _Parser:
     p.add_argument("checkpoint")
     p.add_argument("image", help="input PPM (P6) image")
     p.add_argument("out", help="output path prefix (.pgm and .ppm are appended)")
-    p.add_argument("--blend", type=float, default=0.5, help="overlay alpha in [0, 1]")
+    p.add_argument("--blend", default=0.5, help="overlay alpha in [0, 1]",
+                   type=_number(float, "a number in [0, 1]", lambda v: 0 <= v <= 1))
 
     p = sub.add_parser("analyze", help="parameter/FLOP report, optional latency")
     p.add_argument("--height", type=_POSITIVE, default=512)
@@ -82,13 +90,14 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=_POSITIVE, default=1)
     p.add_argument("--csv", help="also write the report as CSV")
     p.add_argument("--latency", action="store_true")
-    p.add_argument("--warmup", type=_at_least(0), default=3)
+    p.add_argument("--warmup", type=_NON_NEGATIVE, default=3)
     p.add_argument("--iters", type=_POSITIVE, default=10)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")
     p.add_argument("scope", nargs="?", default="all", choices=("all",) + ALL_SCOPES)
     p.add_argument("--seeds", type=_POSITIVE, default=5, help="number of seeds")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", default=1e-4,
+                   type=_number(float, "a finite number >= 0", lambda v: 0 <= v < math.inf))
 
     return parser
 
@@ -136,7 +145,7 @@ def cmd_eval(args) -> int:
     palette = _palette_for(cfg)
     model = S2FPN.from_config(cfg)
     load_model(args.checkpoint, model)
-    matrix = evaluate_model(model, _dataset_for(cfg), args.split)
+    matrix = evaluate_model(model, _dataset_for(cfg), args.split, cfg.ignore_index)
     per_class = matrix.iou()
     width = max(len(n) for n in (*palette.names, "class", "mIoU")) + 2
     print(f"{'class':<{width}}iou")
@@ -159,12 +168,7 @@ def cmd_infer(args) -> int:
     model = S2FPN.from_config(cfg)
     load_model(args.checkpoint, model)
     image = read_ppm(args.image)
-    h, w, _ = image.shape
-    stride = model.backbone.max_stride
-    if h % stride or w % stride:
-        raise DataError(
-            f"image dims ({h}, {w}) must be divisible by {stride} for this backbone"
-        )
+    model.check_frame(*image.shape[:2])
     model.eval()
     with no_grad():
         logits = model(model.normalize(to_chw(image)[None]))
@@ -174,9 +178,8 @@ def cmd_infer(args) -> int:
     overlay_path = out.with_suffix(".ppm")
     write_pgm(label_path, pred)
     colors = palette.color_map()[pred]
-    blend = min(max(args.blend, 0.0), 1.0)
     overlay = np.clip(
-        blend * colors.astype(np.float64) + (1.0 - blend) * image.astype(np.float64),
+        args.blend * colors.astype(np.float64) + (1.0 - args.blend) * image.astype(np.float64),
         0,
         255,
     ).astype(np.uint8)

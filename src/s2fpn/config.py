@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 
@@ -57,37 +58,19 @@ class RunConfig:
         return max(1, self.crop_h * self.crop_w // 16)
 
 
-# config-file key -> (dataclass field, converter); dotted keys keep the
-# grouping readable in files
-_KEY_MAP = {
-    "backbone": ("backbone", str),
-    "pyramid_width": ("pyramid_width", int),
-    "num_classes": ("num_classes", int),
-    "dropout": ("dropout", float),
-    "dataset": ("dataset", str),
-    "palette": ("palette", str),
-    "crop_h": ("crop_h", int),
-    "crop_w": ("crop_w", int),
-    "batch_size": ("batch_size", int),
-    "epochs": ("epochs", int),
-    "lr": ("base_lr", float),
-    "base_lr": ("base_lr", float),
-    "weight_decay": ("weight_decay", float),
-    "power": ("power", float),
-    "beta1": ("beta1", float),
-    "beta2": ("beta2", float),
-    "adam_eps": ("adam_eps", float),
-    "ohem.threshold": ("ohem_threshold", float),
-    "ohem.min_kept": ("ohem_min_kept", int),
-    "ignore_index": ("ignore_index", int),
-    "aux_weight": ("aux_weight", float),
-    "aux_ohem": ("aux_ohem", _parse_bool),
-    "scales": ("scales", _parse_floats),
-    "flip_prob": ("flip_prob", float),
-    "seed": ("seed", int),
-    "checkpoint_every": ("checkpoint_every", int),
-    "out_dir": ("out_dir", str),
+_CONVERTERS = {
+    str: str, int: int, float: float, bool: _parse_bool, tuple[float, ...]: _parse_floats
 }
+_DOTTED = {"ohem_threshold": "ohem.threshold", "ohem_min_kept": "ohem.min_kept"}
+
+# config-file key -> (dataclass field, converter): each field under its own
+# name, except that the ohem fields are spelled dotted, which keeps the
+# grouping readable in files, and `lr` is a second name for `base_lr`
+_KEY_MAP = {
+    _DOTTED.get(name, name): (name, _CONVERTERS[kind])
+    for name, kind in get_type_hints(RunConfig).items()
+}
+_KEY_MAP["lr"] = _KEY_MAP["base_lr"]
 
 
 _POSITIVE = ("> 0", lambda v: 0 < v < math.inf)
@@ -98,12 +81,14 @@ _NON_NEGATIVE = (">= 0", lambda v: 0 <= v < math.inf)
 _RANGES = {
     **dict.fromkeys(
         ("pyramid_width", "num_classes", "crop_h", "crop_w", "batch_size", "scales",
-         "checkpoint_every"),
+         "checkpoint_every", "base_lr", "adam_eps"),
         _POSITIVE,
     ),
-    **dict.fromkeys(("epochs", "ohem_min_kept", "seed"), _NON_NEGATIVE),
-    "dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "flip_prob": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    **dict.fromkeys(
+        ("epochs", "ohem_min_kept", "seed", "weight_decay", "power", "aux_weight"), _NON_NEGATIVE
+    ),
+    **dict.fromkeys(("dropout", "beta1", "beta2"), ("in [0, 1)", lambda v: 0 <= v < 1)),
+    **dict.fromkeys(("flip_prob", "ohem_threshold"), ("in [0, 1]", lambda v: 0 <= v <= 1)),
     "ignore_index": ("in 0..255 (labels are 8-bit)", lambda v: 0 <= v <= 255),
 }
 

@@ -3,22 +3,15 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
+from .config import RunConfig
 from .errors import DataError, ShapeError
 from .tensor import Tensor, as_tensor
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class OhemConfig:
-    threshold: float = 0.7
-    min_kept: int = 1
-    ignore_index: int = 255
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -122,12 +115,7 @@ def cross_entropy(logits, labels, ignore_index: int = 255):
 
 
 def total_loss(
-    main_logits: Tensor,
-    aux_logits: list[Tensor],
-    labels: np.ndarray,
-    ohem: OhemConfig,
-    aux_weight: float = 0.4,
-    aux_ohem: bool = True,
+    main_logits: Tensor, aux_logits: list[Tensor], labels: np.ndarray, cfg: RunConfig
 ) -> tuple[Tensor, list[Tensor]]:
     """main + aux_weight * sum(aux), every aux upsampled to label size
     first; returns that total and the unweighted terms, main first."""
@@ -135,20 +123,17 @@ def total_loss(
     if labels.ndim == 2:
         labels = labels[None]
     h, w = labels.shape[-2:]
-    main_term = ohem_cross_entropy(
-        main_logits, labels, ohem.threshold, ohem.min_kept, ohem.ignore_index
-    )
+    ohem = (cfg.ohem_threshold, cfg.min_kept(), cfg.ignore_index)
+    main_term = ohem_cross_entropy(main_logits, labels, *ohem)
     terms = [main_term]
     loss = main_term
     for aux in aux_logits:
         if aux.shape[2] != h or aux.shape[3] != w:
             aux = ops.bilinear_upsample(aux, h, w)
-        if aux_ohem:
-            term = ohem_cross_entropy(
-                aux, labels, ohem.threshold, ohem.min_kept, ohem.ignore_index
-            )
+        if cfg.aux_ohem:
+            term = ohem_cross_entropy(aux, labels, *ohem)
         else:
-            term = cross_entropy(aux, labels, ohem.ignore_index)
+            term = cross_entropy(aux, labels, cfg.ignore_index)
         terms.append(term)
-        loss = loss + aux_weight * term
+        loss = loss + cfg.aux_weight * term
     return loss, terms

@@ -6,7 +6,7 @@ import numpy as np
 
 from .backbone import STAGE_WIDTHS, build_backbone
 from .decoder import GlobalFeatureUpsample, SegHead
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .nn import Module
 from .pyramid import AttentionPyramid, DepthwiseProjection
 from .tensor import Tensor
@@ -68,6 +68,14 @@ class S2FPN(Module):
         """The network's input transform: (N, 3, H, W) images in [0, 1] to
         a float32 input standardized by the `input_mean`/`input_std` buffers."""
         return Tensor(((images - self.input_mean.data) / self.input_std.data).astype(np.float32))
+
+    def check_frame(self, h: int, w: int) -> None:
+        """A data error unless the backbone's coarsest stride divides (h, w)."""
+        stride = self.backbone.max_stride
+        if h % stride or w % stride:
+            raise DataError(
+                f"image dims ({h}, {w}) must be divisible by {stride} for this backbone"
+            )
 
     def forward(self, x: Tensor):
         n, c, h, w = x.shape

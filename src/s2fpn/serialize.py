@@ -126,7 +126,10 @@ def _read_entries(fh, path: Path, file_size: int) -> dict[str, np.ndarray]:
         # must not turn into a huge allocation
         if start + n_bytes > file_size:
             raise CheckpointError(f"entry {name!r} is truncated")
-        arr = np.empty(shape, dtype=dtype)
+        try:
+            arr = np.empty(shape, dtype=dtype)
+        except ValueError as exc:  # a zero dim lets any other dims past the check above
+            raise CheckpointError(f"entry {name!r} has an impossible shape {shape}") from exc
         fh.seek(start)
         if fh.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
             raise CheckpointError(f"entry {name!r} is truncated")

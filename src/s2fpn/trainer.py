@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentConfig, SampleRecord, augment, rng_for_sample
+from .augment import augment, rng_for_sample
 from .config import RunConfig
 from .dataset import SegDataset
 from .errors import DataError, NumericCheckError
-from .losses import OhemConfig, total_loss
+from .losses import total_loss
 from .metrics import ConfusionMatrix
 from .model import S2FPN
 from .optim import Adam, poly_lr
@@ -19,15 +19,19 @@ from .serialize import read_checkpoint, require_entries, write_checkpoint
 from .tensor import Tensor, no_grad, tape
 
 
-def evaluate_model(model: S2FPN, dataset: SegDataset, split: str) -> ConfusionMatrix:
-    """Eval-mode forward over a split, accumulating a confusion matrix."""
-    matrix = ConfusionMatrix(model.num_classes)
+def evaluate_model(
+    model: S2FPN, dataset: SegDataset, split: str, ignore_index: int = 255
+) -> ConfusionMatrix:
+    """Eval-mode forward over a split, accumulating a confusion matrix that
+    skips `ignore_index` labels."""
+    matrix = ConfusionMatrix(model.num_classes, ignore_index)
     was_training = model.training
     model.eval()
     try:
         with no_grad():
             for name in dataset.split(split):
                 image, label = dataset.load(name)
+                model.check_frame(*image.shape[1:])
                 logits = model(model.normalize(image[None]))
                 pred = logits.data.argmax(axis=1)[0]
                 matrix.add(pred, label)
@@ -54,13 +58,6 @@ class Trainer:
             eps=cfg.adam_eps,
             weight_decay=cfg.weight_decay,
         )
-        self.ohem = OhemConfig(cfg.ohem_threshold, cfg.min_kept(), cfg.ignore_index)
-        self.augment_cfg = AugmentConfig(
-            scales=cfg.scales,
-            flip_prob=cfg.flip_prob,
-            crop=(cfg.crop_h, cfg.crop_w),
-            ignore_index=cfg.ignore_index,
-        )
         self.train_names = dataset.split("train")
         if not self.train_names:
             raise DataError("training split is empty")
@@ -85,13 +82,11 @@ class Trainer:
         for j in range(cfg.batch_size):
             name = self.train_names[order[(offset + j) % len(self.train_names)]]
             image, label = self.dataset.load(name)
-            record = augment(
-                SampleRecord(image, label),
-                rng_for_sample(cfg.seed, iteration * cfg.batch_size + j),
-                self.augment_cfg,
+            image, label = augment(
+                image, label, rng_for_sample(cfg.seed, iteration * cfg.batch_size + j), cfg
             )
-            images.append(record.image)
-            labels.append(record.label)
+            images.append(image)
+            labels.append(label)
         return self.model.normalize(np.stack(images)), np.stack(labels)
 
     # -- checkpointing ----------------------------------------------------
@@ -139,7 +134,7 @@ class Trainer:
         recorder = tape()
         recorder.reset()
         main, aux = self.model(x)
-        loss, terms = total_loss(main, aux, labels, self.ohem, cfg.aux_weight, cfg.aux_ohem)
+        loss, terms = total_loss(main, aux, labels, cfg)
         if not np.isfinite(loss.item()):
             # stop before backward and the update reach the parameters
             recorder.reset()
@@ -168,8 +163,9 @@ class Trainer:
                 if epoch_done and epoch % self.cfg.checkpoint_every == 0:
                     self.save_checkpoint(self.out_dir / "last.ckpt", iteration + 1)
                     if has_val:
-                        matrix = evaluate_model(self.model, self.dataset, "val")
-                        miou = matrix.mean_iou()
+                        miou = evaluate_model(
+                            self.model, self.dataset, "val", self.cfg.ignore_index
+                        ).mean_iou()
                         log_file.write(f"epoch {epoch} val_miou {miou:.6f}\n")
                         log_file.flush()
                         if miou > self.best_miou:

@@ -1,18 +1,24 @@
 """Run-config parsing, trainer round-trips, and the command-line surface."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s2fpn.cli import main
-from s2fpn.config import parse_config_text
+from s2fpn.config import _KEY_MAP, _RANGES, RunConfig, parse_config, parse_config_text
 from s2fpn.dataset import SegDataset
 from s2fpn.errors import CheckpointError, ConfigError, NumericCheckError
 from s2fpn.imageio import read_pgm, write_pgm
 from s2fpn.metrics import ConfusionMatrix
-from s2fpn.serialize import read_checkpoint, write_checkpoint
+from s2fpn.model import S2FPN
+from s2fpn.serialize import load_model, read_checkpoint, write_checkpoint
 from s2fpn.synthetic import make_toy_corpus
 from s2fpn.trainer import Trainer, evaluate_model
 
@@ -54,6 +60,58 @@ class TestConfigParsing:
         cfg2 = parse_config_text("ohem.min_kept = 10\n")
         assert cfg2.min_kept() == 10
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_KEY_MAP)) | st.text(max_size=8),
+                st.sampled_from(["=", " = ", "", "=="]),
+                st.sampled_from(["0", "-1", "0.5", "1e999", "nan", "-inf", "1,2", "yes", ","])
+                | st.text(max_size=8),
+            ),
+            max_size=6,
+        )
+    )
+    def test_only_config_error_escapes(self, lines):
+        text = "\n".join(key + sep + value for key, sep, value in lines)
+        try:
+            cfg = parse_config_text(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+    def test_every_numeric_field_has_a_range(self):
+        unranged = [
+            name for name, kind in get_type_hints(RunConfig).items()
+            if kind not in (str, bool) and name not in _RANGES
+        ]
+        assert unranged == []
+
+    def test_readme_key_table_matches_the_parser(self):
+        documented = readme_key_table()
+        assert sorted(documented) == sorted(_KEY_MAP)
+        for key, text in documented.items():
+            attr, converter = _KEY_MAP[key]
+            assert converter(text) == getattr(RunConfig(), attr), key
+
+
+def readme_key_table() -> dict[str, str]:
+    """The README "Keys and defaults" table as config key -> documented
+    default; a row may list several keys, with one default each or one
+    shared default, and "—" stands for the empty string."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("Keys and defaults:"):].split("\n\n")[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        key_cell, default_cell, _ = row.strip().strip("|").split("|", 2)
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        defaults = re.findall(r"`([^`]+)`", default_cell) or [""]
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        assert len(defaults) == len(keys), row
+        documented.update(zip(keys, defaults))
+    return documented
+
 
 @pytest.fixture(scope="module")
 def toy_setup(tmp_path_factory):
@@ -88,8 +146,6 @@ def toy_setup(tmp_path_factory):
 class TestTrainerRoundTrip:
     def test_resume_reproduces_next_loss(self, toy_setup, tmp_path):
         base, root, config = toy_setup
-        from s2fpn.config import parse_config
-
         cfg = parse_config(config)
         cfg.out_dir = str(tmp_path / "a")
         ds = SegDataset(root)
@@ -112,8 +168,6 @@ class TestTrainerRoundTrip:
 
     def test_resume_refuses_missing_adam_moment(self, toy_setup, tmp_path, capsys):
         base, root, config = toy_setup
-        from s2fpn.config import parse_config
-
         cfg = parse_config(config)
         cfg.out_dir = str(tmp_path / "run")
         ds = SegDataset(root)
@@ -154,8 +208,6 @@ def _poison_inputs(monkeypatch):
 class TestNonFiniteLoss:
     def test_step_raises_before_the_update(self, toy_setup, tmp_path, monkeypatch):
         base, root, config = toy_setup
-        from s2fpn.config import parse_config
-
         cfg = parse_config(config)
         cfg.out_dir = str(tmp_path / "nan")
         trainer = Trainer(cfg, SegDataset(root))
@@ -314,7 +366,9 @@ class TestCliCommands:
                 for key, value in [
                     ("batch_size", "0"), ("checkpoint_every", "0"), ("dropout", "1.5"),
                     ("seed", "-1"), ("num_classes", "0"), ("scales", "-1"), ("scales", "0"),
-                    ("ignore_index", "256"),
+                    ("ignore_index", "256"), ("lr", "nan"), ("lr", "-1"), ("beta1", "1.5"),
+                    ("beta2", "1"), ("adam_eps", "0"), ("weight_decay", "-3"),
+                    ("aux_weight", "inf"), ("ohem.threshold", "-2"), ("power", "-1"),
                 ]
             ],
             pytest.param("", "0 a 300 0 0\n", ["infer", "x.ckpt", "x.ppm", "out"], 2,
@@ -327,6 +381,16 @@ class TestCliCommands:
                          "usage error: --iters", id="analyze-iters-0"),
             pytest.param("", None, ["gradcheck", "--seeds", "0"], 1, "usage error: --seeds",
                          id="gradcheck-seeds-0"),
+            *[
+                pytest.param("", None, ["gradcheck", "--tolerance", value], 1,
+                             "usage error: --tolerance", id=f"gradcheck-tolerance-{value}")
+                for value in ("nan", "inf", "-1")
+            ],
+            *[
+                pytest.param("", None, ["infer", "x.ckpt", "x.ppm", "out", "--blend", value], 1,
+                             "usage error: --blend", id=f"infer-blend-{value}")
+                for value in ("nan", "1.5", "-0.1")
+            ],
         ],
     )
     def test_malformed_input_is_typed_error(
@@ -362,6 +426,44 @@ class TestCliCommands:
         assert main(["--config", str(cfg), *argv]) == 2
         out, err = capsys.readouterr()
         assert err.startswith("data error: ") and "label" in err and "9" in err
+        assert "Traceback" not in out + err
+
+    def test_run_ignore_index_reaches_evaluation(self, toy_setup, tmp_path):
+        base, root, config = toy_setup
+        corpus = make_toy_corpus(tmp_path / "corpus", n_train=2, n_val=1, height=64, width=64,
+                                 num_classes=4)
+        for path in (corpus / "labels").glob("*.pgm"):
+            label = read_pgm(path)
+            label[:8, :20] = 250
+            write_pgm(path, label)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.read_text().replace(str(root), str(corpus))
+                       .replace(str(base / "run"), str(tmp_path / "run")) + "ignore_index = 250\n")
+        # with checkpoint_every = 1 each epoch ends in a val pass
+        assert main(["--config", str(cfg), "train"]) == 0
+        ckpt = tmp_path / "run" / "final.ckpt"
+        assert main(["--config", str(cfg), "eval", str(ckpt), "--split", "val",
+                     "--csv", str(tmp_path / "iou.csv")]) == 0
+        model = S2FPN.from_config(parse_config(cfg))
+        load_model(ckpt, model)
+        matrix = evaluate_model(model, SegDataset(corpus), "val", 250)
+        scored = sum(int((read_pgm(p) != 250).sum()) for p in (corpus / "labels").glob("val_*"))
+        assert matrix.counts.sum() == scored
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_frame_of_wrong_size_is_data_error(self, toy_setup, tmp_path, capsys, command):
+        base, root, config = toy_setup
+        corpus = make_toy_corpus(tmp_path / "corpus", n_train=1, n_val=1, height=48, width=100,
+                                 num_classes=4)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.read_text().replace(str(root), str(corpus)))
+        ckpt = str(base / "run" / "final.ckpt")
+        argv = {"eval": ["eval", ckpt, "--split", "val", "--csv", str(tmp_path / "iou.csv")],
+                "infer": ["infer", ckpt, str(corpus / "images" / "val_001.ppm"),
+                          str(tmp_path / "pred")]}[command]
+        assert main(["--config", str(cfg), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("data error: ") and "(48, 100)" in err
         assert "Traceback" not in out + err
 
     def test_console_script_entry(self):

@@ -50,6 +50,22 @@ class TestImageIO:
         with pytest.raises(DataError, match="truncated"):
             read_pgm(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([read_ppm, read_pgm]),
+        st.sampled_from([b"", b"P5", b"P6", b"P5\n", b"P6 1 1 255 ", b"P5\n2 2\n255\n"]),
+        st.lists(st.sampled_from([b"#", b"\n", b" ", b"0", b"1", b"255", b"99999999"]), max_size=8),
+        st.binary(max_size=24),
+    )
+    def test_only_data_error_escapes(self, tmp_path_factory, reader, magic, tokens, tail):
+        path = tmp_path_factory.getbasetemp() / "fuzz.img"
+        path.write_bytes(magic + b"".join(tokens) + tail)
+        try:
+            image = reader(path)
+        except DataError:
+            return
+        assert image.dtype == np.uint8
+
 
 class TestDataset:
     def test_toy_corpus_loads(self, tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from s2fpn import Tensor, no_grad, tape, using_dtype
+from s2fpn.config import RunConfig
 from s2fpn.decoder import GlobalFeatureUpsample
 from s2fpn.errors import ConfigError
-from s2fpn.losses import OhemConfig, total_loss
+from s2fpn.losses import total_loss
 from s2fpn.model import S2FPN
 from s2fpn.ops import tensor_sum
 from s2fpn.verification import block_checks
@@ -146,7 +147,8 @@ class TestModelForward:
                 x = rand((2, 3, 64, 64), 40 + trial, dtype=np.float64)
                 labels = rng.integers(0, 4, size=(2, 64, 64))
                 main, aux = model(x)
-                loss, _ = total_loss(main, aux, labels, OhemConfig(0.7, 64, 255))
+                cfg = RunConfig(ohem_threshold=0.7, ohem_min_kept=64, ignore_index=255)
+                loss, _ = total_loss(main, aux, labels, cfg)
                 recorder.backward(loss)
                 alive |= {
                     name

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from s2fpn import Parameter, Tensor, ops, tape, using_dtype
-from s2fpn.augment import AugmentConfig, SampleRecord, augment, resize_label, rng_for_sample
+from s2fpn.augment import augment, resize_label, rng_for_sample
+from s2fpn.config import RunConfig
 from s2fpn.errors import DataError
-from s2fpn.losses import OhemConfig, cross_entropy, ohem_cross_entropy, total_loss
+from s2fpn.losses import cross_entropy, ohem_cross_entropy, total_loss
 from s2fpn.optim import Adam, poly_lr
 
 from oracles import ohem_select_ref
@@ -132,8 +133,8 @@ class TestTotalLoss:
 
     def test_zero_weight_equals_main_term(self):
         main, aux, labels = self.make_case()
-        cfg = OhemConfig(0.7, 2, 255)
-        combined, _ = total_loss(main, aux, labels, cfg, aux_weight=0.0)
+        cfg = RunConfig(ohem_threshold=0.7, ohem_min_kept=2, ignore_index=255, aux_weight=0.0)
+        combined, _ = total_loss(main, aux, labels, cfg)
         alone = ohem_cross_entropy(main, labels, 0.7, 2, 255)
         assert combined.item() == alone.item()
 
@@ -143,23 +144,25 @@ class TestTotalLoss:
         main = Tensor(rng.standard_normal((1, k, h, w)), dtype=np.float64)
         aux = [Tensor(main.data.copy(), dtype=np.float64) for _ in range(4)]
         labels = rng.integers(0, k, size=(1, h, w))
-        cfg = OhemConfig(0.7, 2, 255)
         lam = 0.4
-        combined, _ = total_loss(main, aux, labels, cfg, aux_weight=lam)
+        cfg = RunConfig(ohem_threshold=0.7, ohem_min_kept=2, ignore_index=255, aux_weight=lam)
+        combined, _ = total_loss(main, aux, labels, cfg)
         alone = ohem_cross_entropy(main, labels, 0.7, 2, 255)
         assert abs(combined.item() - (1 + 4 * lam) * alone.item()) < 1e-9
 
     def test_recomposes_from_terms(self):
         main, aux, labels = self.make_case(seed=6)
-        cfg = OhemConfig(0.7, 3, 255)
-        combined, terms = total_loss(main, aux, labels, cfg, aux_weight=0.4)
+        cfg = RunConfig(ohem_threshold=0.7, ohem_min_kept=3, ignore_index=255, aux_weight=0.4)
+        combined, terms = total_loss(main, aux, labels, cfg)
         expected = terms[0].item() + 0.4 * sum(t.item() for t in terms[1:])
         assert abs(combined.item() - expected) < 1e-12
 
     def test_plain_ce_flag(self):
         main, aux, labels = self.make_case(seed=7)
-        cfg = OhemConfig(0.7, 1, 255)
-        _, terms = total_loss(main, aux, labels, cfg, aux_weight=0.4, aux_ohem=False)
+        cfg = RunConfig(
+            ohem_threshold=0.7, ohem_min_kept=1, ignore_index=255, aux_weight=0.4, aux_ohem=False
+        )
+        _, terms = total_loss(main, aux, labels, cfg)
         plain = cross_entropy(
             ops.bilinear_upsample(aux[1], 4, 6), labels, 255
         )
@@ -278,41 +281,41 @@ class TestAugment:
         rng = np.random.default_rng(seed)
         image = rng.random((3, h, w)).astype(np.float32)
         label = rng.integers(0, 4, size=(h, w)).astype(np.int64)
-        return SampleRecord(image, label)
+        return image, label
 
     def test_identity_configuration(self):
-        sample = self.base_sample()
-        cfg = AugmentConfig(scales=(1.0,), flip_prob=0.0, crop=(16, 24))
-        out = augment(sample, np.random.default_rng(0), cfg)
-        np.testing.assert_array_equal(out.image, sample.image)
-        np.testing.assert_array_equal(out.label, sample.label)
+        image, label = self.base_sample()
+        cfg = RunConfig(scales=(1.0,), flip_prob=0.0, crop_h=16, crop_w=24)
+        out_image, out_label = augment(image, label, np.random.default_rng(0), cfg)
+        np.testing.assert_array_equal(out_image, image)
+        np.testing.assert_array_equal(out_label, label)
 
     def test_flip_is_involution(self):
-        sample = self.base_sample(seed=1)
-        cfg = AugmentConfig(scales=(1.0,), flip_prob=1.0, crop=(16, 24))
-        once = augment(sample, np.random.default_rng(1), cfg)
-        twice = augment(once, np.random.default_rng(2), cfg)
-        np.testing.assert_array_equal(twice.image, sample.image)
-        np.testing.assert_array_equal(twice.label, sample.label)
+        image, label = self.base_sample(seed=1)
+        cfg = RunConfig(scales=(1.0,), flip_prob=1.0, crop_h=16, crop_w=24)
+        once = augment(image, label, np.random.default_rng(1), cfg)
+        twice_image, twice_label = augment(*once, np.random.default_rng(2), cfg)
+        np.testing.assert_array_equal(twice_image, image)
+        np.testing.assert_array_equal(twice_label, label)
 
     def test_nearest_label_resize_preserves_value_set(self):
-        sample = self.base_sample(seed=2)
-        doubled = resize_label(sample.label, 32, 48)
-        assert set(np.unique(doubled)) <= set(np.unique(sample.label))
+        _, label = self.base_sample(seed=2)
+        doubled = resize_label(label, 32, 48)
+        assert set(np.unique(doubled)) <= set(np.unique(label))
 
     def test_scaled_label_only_original_values(self):
-        sample = self.base_sample(seed=3)
-        cfg = AugmentConfig(scales=(2.0,), flip_prob=0.0, crop=(16, 24))
-        out = augment(sample, np.random.default_rng(3), cfg)
-        assert set(np.unique(out.label)) <= set(np.unique(sample.label))
+        image, label = self.base_sample(seed=3)
+        cfg = RunConfig(scales=(2.0,), flip_prob=0.0, crop_h=16, crop_w=24)
+        _, out_label = augment(image, label, np.random.default_rng(3), cfg)
+        assert set(np.unique(out_label)) <= set(np.unique(label))
 
     def test_crop_dims_exact_with_padding(self):
-        sample = self.base_sample(seed=4, h=10, w=12)
-        cfg = AugmentConfig(scales=(0.75,), flip_prob=0.0, crop=(20, 30), ignore_index=255)
-        out = augment(sample, np.random.default_rng(4), cfg)
-        assert out.image.shape == (3, 20, 30)
-        assert out.label.shape == (20, 30)
-        assert 255 in np.unique(out.label)  # padded area carries ignore
+        image, label = self.base_sample(seed=4, h=10, w=12)
+        cfg = RunConfig(scales=(0.75,), flip_prob=0.0, crop_h=20, crop_w=30, ignore_index=255)
+        out_image, out_label = augment(image, label, np.random.default_rng(4), cfg)
+        assert out_image.shape == (3, 20, 30)
+        assert out_label.shape == (20, 30)
+        assert 255 in np.unique(out_label)  # padded area carries ignore
 
     def test_sample_rng_streams_are_reproducible(self):
         a = rng_for_sample(7, 42).random(5)

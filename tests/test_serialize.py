@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s2fpn import serialize
 from s2fpn.errors import CheckpointError, ShapeError
@@ -149,6 +151,30 @@ def test_corrupt_shape_is_refused_before_allocating(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="truncated"):
         read_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 120),
+    st.lists(st.tuples(st.integers(0, 119), st.integers(0, 255)), max_size=4),
+    st.lists(st.sampled_from([0, 1, 2, 0xFF, 0xFFFFFFFF]), min_size=4, max_size=4),
+)
+def test_only_checkpoint_error_escapes(tmp_path_factory, keep, flips, shape):
+    # a valid two-entry file, cut short, with bytes overwritten and with the
+    # first entry's shape replaced by extreme dims
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    write_checkpoint(path, {"w": np.ones(4, dtype=np.float32), "b": np.zeros(2)})
+    raw = bytearray(path.read_bytes())
+    shape_at = len(MAGIC) + 4 + 2 + 1 + 1  # count, name_len, name "w", dtype
+    raw[shape_at : shape_at + 16] = struct.pack("<4I", *shape)
+    for at, value in flips:
+        raw[at % len(raw)] = value
+    path.write_bytes(bytes(raw[:keep]) if keep < len(raw) else bytes(raw))
+    try:
+        entries = read_checkpoint(path)
+    except CheckpointError:
+        return
+    assert all(arr.ndim == 4 for arr in entries.values())
 
 
 def test_read_peak_memory_is_the_arrays(tmp_path):

@@ -348,12 +348,11 @@ def bilinear_upsample(x, out_h: int, out_w: int) -> Tensor:
     n, c, h, w = x.shape
     mh = interp_matrix(h, out_h, x.dtype)
     mw = interp_matrix(w, out_w, x.dtype)
-    data = np.einsum("oh,nchw,pw->ncop", mh, x.data, mw, optimize=True)
-    data = np.ascontiguousarray(data)
+    # two GEMMs, widths then heights; each lands contiguous
+    data = mh @ (x.data @ mw.T)
 
     def backward(g):
-        gx = np.einsum("oh,ncop,pw->nchw", mh, g, mw, optimize=True)
-        return (np.ascontiguousarray(gx),)
+        return (mh.T @ (g @ mw),)
 
     return _make(data, (x,), backward, "bilinear_upsample", 4 * data.size)
 
@@ -371,6 +370,14 @@ def _pointwise(kh: int, kw: int, stride: int, padding: int) -> bool:
     return kh == kw == stride == 1 and padding == 0
 
 
+def _pad(data: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad H and W: one allocation and one slice copy."""
+    n, c, h, w = data.shape
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=data.dtype)
+    out[:, :, padding : padding + h, padding : padding + w] = data
+    return out
+
+
 def _im2col(data: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
     """Columns laid out (C*kh*kw, N*oH*oW): one GEMM covers the whole batch."""
     n, c, h, w = data.shape
@@ -378,11 +385,14 @@ def _im2col(data: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: i
         # rows are the channels; a view when N == 1, one transpose copy otherwise
         return np.ascontiguousarray(data.transpose(1, 0, 2, 3)).reshape(c, n * h * w)
     if padding:
-        data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(data, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, : (oh - 1) * stride + 1 : stride, : (ow - 1) * stride + 1 : stride]
-    # (N, C, oH, oW, kh, kw) -> (C, kh, kw, N, oH, oW)
-    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
+        data = _pad(data, padding)
+    # a read-only (C, kh, kw, N, oH, oW) window view that the reshape copies
+    # once; oH and oW keep every window inside `data`
+    sn, sc, sh, sw = data.strides
+    windows = np.lib.stride_tricks.as_strided(
+        data, (c, kh, kw, n, oh, ow), (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False
+    )
+    return windows.reshape(c * kh * kw, n * oh * ow)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
@@ -409,7 +419,7 @@ def _conv_bands(data, w_g, kh: int, kw: int, stride: int, padding: int, oh: int,
     n, c = data.shape[:2]
     groups, og, k = w_g.shape
     if padding:
-        data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        data = _pad(data, padding)
     # at least `og` columns per band, so repacking the weights for each
     # band's GEMM moves no more bytes than the band's own columns
     band = max(1, _BAND_BYTES // (c * kh * kw * n * ow * data.itemsize), -(-og // (n * ow)))

@@ -10,7 +10,7 @@ import numpy as np
 from .augment import augment, rng_for_sample
 from .config import RunConfig
 from .dataset import SegDataset
-from .errors import DataError, NumericCheckError
+from .errors import ConfigError, DataError, NumericCheckError
 from .losses import total_loss
 from .metrics import ConfusionMatrix
 from .model import S2FPN
@@ -44,10 +44,14 @@ class Trainer:
     def __init__(self, cfg: RunConfig, dataset: SegDataset, out_dir=None):
         self.cfg = cfg
         self.dataset = dataset
+        self.model = S2FPN.from_config(cfg)
+        try:
+            self.model.check_frame(cfg.crop_h, cfg.crop_w)
+        except DataError as exc:
+            raise ConfigError(f"crop_h/crop_w do not fit the backbone: {exc}") from None
         self.out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.log_path = self.out_dir / "train.log"
-        self.model = S2FPN.from_config(cfg)
         mean, std = dataset.compute_normalization("train")
         self.model.input_mean.data[...] = mean.reshape(1, 3, 1, 1)
         self.model.input_std.data[...] = np.maximum(std, 1e-3).reshape(1, 3, 1, 1)

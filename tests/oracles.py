@@ -32,6 +32,27 @@ def conv2d_ref(x, w, b=None, stride=1, padding=1, groups=1):
     return out
 
 
+def im2col_ref(x, kh, kw, stride, padding):
+    """Columns (C*kh*kw, N*oH*oW): row (c, i, j), column (n, oy, ox) holds
+    x[n, c, oy*stride + i - padding, ox*stride + j - padding], 0 outside."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    cols = np.zeros((c * kh * kw, n * oh * ow), dtype=x.dtype)
+    for ci in range(c):
+        for ky in range(kh):
+            for kx in range(kw):
+                row = (ci * kh + ky) * kw + kx
+                for ni in range(n):
+                    for oy in range(oh):
+                        for ox in range(ow):
+                            iy = oy * stride + ky - padding
+                            ix = ox * stride + kx - padding
+                            if 0 <= iy < h and 0 <= ix < w:
+                                cols[row, (ni * oh + oy) * ow + ox] = x[ni, ci, iy, ix]
+    return cols
+
+
 def strip_pool_ref(x, mode):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h, 1), dtype=np.float64)

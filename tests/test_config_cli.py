@@ -466,6 +466,17 @@ class TestCliCommands:
         assert err.startswith("data error: ") and "(48, 100)" in err
         assert "Traceback" not in out + err
 
+    def test_crop_the_backbone_cannot_divide_is_refused_first(self, toy_setup, tmp_path, capsys):
+        base, root, config = toy_setup
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.read_text().replace("crop_h = 64", "crop_h = 50")
+                       .replace(str(base / "run"), str(tmp_path / "run")))
+        assert main(["--config", str(cfg), "train"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "crop_h" in err and "(50, 64)" in err and "32" in err
+        assert "Traceback" not in out + err
+        assert not (tmp_path / "run").exists()
+
     def test_console_script_entry(self):
         result = subprocess.run(
             [sys.executable, "-m", "s2fpn.cli", "gradcheck", "ssam", "--seeds", "1"],

@@ -16,6 +16,7 @@ from oracles import (
     broadcast_ref,
     conv2d_ref,
     global_avg_pool_ref,
+    im2col_ref,
     max_pool_grad_ref,
     max_pool_ref,
     strip_pool_ref,
@@ -91,6 +92,12 @@ class TestConv2dBatch:
         "1x1": dict(k=1, stride=1, padding=0, groups=1, bias=True),
         "1x1-stride2": dict(k=1, stride=2, padding=0, groups=1, bias=False),
         "depthwise": dict(k=3, stride=1, padding=1, groups=4, bias=False),
+        # the deepest maps of a 64x128 frame, and the stem on a map barely
+        # larger than its kernel
+        "3x3-2x4": dict(k=3, stride=1, padding=1, groups=1, bias=True, hw=(2, 4)),
+        "3x3-1x2": dict(k=3, stride=1, padding=1, groups=1, bias=False, hw=(1, 2)),
+        "depthwise-stride2-2x4": dict(k=3, stride=2, padding=1, groups=4, bias=False, hw=(2, 4)),
+        "7x7-stem-8x8": dict(k=7, stride=2, padding=3, groups=1, bias=False, hw=(8, 8)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -98,7 +105,7 @@ class TestConv2dBatch:
         spec = self.CASES[case]
         rng = np.random.default_rng(len(case))
         k = spec["k"]
-        x = rng.standard_normal((3, 4, 7, 6))
+        x = rng.standard_normal((3, 4, *spec.get("hw", (7, 6))))
         w = rng.standard_normal((4, 4 // spec["groups"], k, k)) * 0.5
         b = rng.standard_normal(4) * 0.5 if spec["bias"] else None
         kw = dict(stride=spec["stride"], padding=spec["padding"], groups=spec["groups"])
@@ -192,6 +199,35 @@ class TestConv2dBands:
         cols = _im2col(x, 3, 3, 1, 1, 96, 96)
         assert cols.nbytes > 2 * ops._BAND_BYTES
         np.testing.assert_array_equal(out, np.matmul(wt.reshape(8, -1), cols).reshape(1, 8, 96, 96))
+
+
+class TestIm2col:
+    """The column layout every conv GEMM reads, element for element."""
+
+    CASES = {
+        "3x3-s1-p0": dict(c=4, hw=(6, 7), k=3, stride=1, padding=0),
+        "3x3-s1-p1": dict(c=4, hw=(6, 7), k=3, stride=1, padding=1),
+        "3x3-s2-p0": dict(c=4, hw=(7, 6), k=3, stride=2, padding=0),
+        "3x3-s2-p1": dict(c=4, hw=(7, 6), k=3, stride=2, padding=1),
+        "7x7-s2-p3": dict(c=3, hw=(9, 8), k=7, stride=2, padding=3),
+        "1x1-s2": dict(c=4, hw=(7, 6), k=1, stride=2, padding=0),
+        "depthwise-s1": dict(c=8, hw=(5, 6), k=3, stride=1, padding=1),
+        "depthwise-s2": dict(c=8, hw=(2, 4), k=3, stride=2, padding=1),
+        # maps smaller than the padded kernel
+        "3x3-p1-2x4": dict(c=4, hw=(2, 4), k=3, stride=1, padding=1),
+        "3x3-p1-1x2": dict(c=4, hw=(1, 2), k=3, stride=1, padding=1),
+    }
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_loop_oracle(self, case, n):
+        spec = self.CASES[case]
+        k, s, p = spec["k"], spec["stride"], spec["padding"]
+        h, w = spec["hw"]
+        rng = np.random.default_rng(len(case) + n)
+        x = rng.standard_normal((n, spec["c"], h, w)).astype(np.float32)
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        np.testing.assert_array_equal(_im2col(x, k, k, s, p, oh, ow), im2col_ref(x, k, k, s, p))
 
 
 def _held_beyond_output(kernel, x):
@@ -357,6 +393,29 @@ class TestBilinear:
         x = rng.standard_normal((1, 2, 3, 5))
         out = ops.bilinear_upsample(Tensor(x, dtype=np.float64), 7, 11)
         np.testing.assert_allclose(out.data, bilinear_ref(x, 7, 11), atol=1e-12)
+
+    @pytest.mark.parametrize("shape,out_hw", [
+        ((2, 3, 4, 5), (8, 10)),
+        ((2, 3, 4, 5), (16, 20)),
+        ((2, 3, 3, 3), (7, 7)),
+    ])
+    def test_float32_matches_bruteforce(self, shape, out_hw):
+        x = np.random.default_rng(9).standard_normal(shape).astype(np.float32)
+        out = ops.bilinear_upsample(t(x), *out_hw)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out.data, bilinear_ref(x, *out_hw), atol=1e-6)
+
+    @pytest.mark.parametrize("out_hw", [(8, 10), (7, 3)])
+    def test_backward_is_the_adjoint(self, out_hw):
+        # <up(x), g> = <x, up^T(g)>, with up^T read off the tape
+        rng = np.random.default_rng(10)
+        x = Parameter(rng.standard_normal((2, 3, 4, 5)), dtype=np.float64)
+        g = rng.standard_normal((2, 3, *out_hw))
+        tape().reset()
+        up = ops.bilinear_upsample(x, *out_hw)
+        tape().backward(ops.tensor_sum(up * Tensor(g, dtype=np.float64)))
+        tape().reset()
+        assert abs(np.vdot(up.data, g) - np.vdot(x.data, x.grad)) < 1e-12
 
     def test_down_then_up_of_constant(self):
         x = t(np.full((1, 1, 8, 8), -2.0))

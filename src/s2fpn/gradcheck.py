@@ -53,7 +53,6 @@ def grad_check(fn, wrt: dict[str, Tensor], eps_scale: float = 1e-5) -> GradCheck
     loss = fn()
     tp.backward(loss)
     analytic = {name: t.grad.copy() for name, t in wrt.items()}
-    tp.reset()
 
     worst = GradCheckResult(0.0, "", (), 0.0, 0.0)
     for name, t in wrt.items():

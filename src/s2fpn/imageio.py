@@ -30,6 +30,8 @@ def _read_header(payload: bytes, magic: bytes, path) -> tuple[int, int, int]:
         fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise DataError(f"{path}: empty image ({width}x{height})")
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit images supported (maxval {maxval})")
     return width, height, pos

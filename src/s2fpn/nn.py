@@ -208,8 +208,9 @@ class Dropout(Module):
         self.rng = rng or np.random.default_rng(0)
 
     def forward(self, x: Tensor) -> Tensor:
-        mode = "train" if self.training else "eval"
-        return ops.dropout(x, self.p, mode=mode, rng=self.rng)
+        if not self.training or self.p == 0:
+            return x
+        return ops.dropout(x, self.p, self.rng)
 
 
 class MaxPool2d(Module):

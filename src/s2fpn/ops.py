@@ -183,19 +183,11 @@ def softmax(x, axis) -> Tensor:
     return _make(out, (x,), backward, "softmax", 5 * x.size)
 
 
-def dropout(x, p: float, mode: str = "train", rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
+    """Train-mode inverted dropout; eval mode is `nn.Dropout`'s identity."""
     x = as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
-        data = x.data.copy()
-
-        def backward(g):
-            return (g,)
-
-        return _make(data, (x,), backward, "dropout")
-    if rng is None:
-        raise ValueError("train-mode dropout needs an explicit Generator")
     keep = rng.random(x.shape) >= p
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
     data = np.where(keep, x.data * scale, 0)
@@ -380,14 +372,12 @@ def _pad(data: np.ndarray, padding: int) -> np.ndarray:
 
 def _im2col(data: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
     """Columns laid out (C*kh*kw, N*oH*oW): one GEMM covers the whole batch."""
-    n, c, h, w = data.shape
-    if _pointwise(kh, kw, stride, padding):
-        # rows are the channels; a view when N == 1, one transpose copy otherwise
-        return np.ascontiguousarray(data.transpose(1, 0, 2, 3)).reshape(c, n * h * w)
+    n, c = data.shape[:2]
     if padding:
         data = _pad(data, padding)
     # a read-only (C, kh, kw, N, oH, oW) window view that the reshape copies
-    # once; oH and oW keep every window inside `data`
+    # once (a 1x1 stride-1 unpadded one at N == 1 stays a view); oH and oW
+    # keep every window inside `data`
     sn, sc, sh, sw = data.strides
     windows = np.lib.stride_tricks.as_strided(
         data, (c, kh, kw, n, oh, ow), (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False

@@ -105,7 +105,8 @@ class Tape:
     def backward(self, loss: "Tensor") -> None:
         """Accumulate d(loss)/d(leaf) into `.grad` of every reachable leaf.
 
-        Calling twice on the same tape doubles the accumulators.
+        Consumes the tape: each record is dropped once its backward has run,
+        so its activations are freed as soon as nothing else holds them.
         """
         if loss.data.size != 1:
             raise ShapeError(
@@ -116,7 +117,8 @@ class Tape:
         leaves: dict[int, Tensor] = {}
         if id(loss) not in produced and loss.requires_grad:
             leaves[id(loss)] = loss
-        for rec in reversed(self._records):
+        while self._records:
+            rec = self._records.pop()
             g = grads.pop(id(rec.out), None)
             if g is None:
                 continue

@@ -146,7 +146,6 @@ class Trainer:
         self.optimizer.zero_grad()
         recorder.backward(loss)
         self.optimizer.step(lr)
-        recorder.reset()
         return lr, [loss.item()] + [t.item() for t in terms[1:]]
 
     def run(self, resume=None) -> dict:

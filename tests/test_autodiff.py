@@ -1,5 +1,7 @@
 """Tape mechanics and finite-difference checks for every kernel."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,14 +26,27 @@ def test_linear_case_grad_is_x():
         np.testing.assert_array_equal(w.grad, x.data)
 
 
-def test_second_backward_doubles_accumulators():
+def test_backward_consumes_the_tape():
     with using_dtype(np.float64):
         x = Tensor(np.arange(4.0).reshape(1, 1, 2, 2), dtype=np.float64)
         w = Parameter(np.ones((1, 1, 2, 2)))
         loss = ops.tensor_sum(w * x)
         tape().backward(loss)
+        assert len(tape()) == 0
         tape().backward(loss)
-        np.testing.assert_array_equal(w.grad, 2 * x.data)
+        np.testing.assert_array_equal(w.grad, x.data)
+
+
+def test_backward_frees_intermediates_the_caller_dropped():
+    with using_dtype(np.float64):
+        w = Parameter(np.ones((1, 1, 2, 2)))
+        mid = ops.relu(w * 2.0)
+        loss = ops.tensor_sum(mid * 3.0)
+        ref = weakref.ref(mid.data)
+        del mid
+        tape().backward(loss)
+        assert ref() is None
+        np.testing.assert_array_equal(w.grad, np.full((1, 1, 2, 2), 6.0))
 
 
 def test_zero_upstream_gives_zero_param_grads():

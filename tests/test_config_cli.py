@@ -466,6 +466,28 @@ class TestCliCommands:
         assert err.startswith("data error: ") and "(48, 100)" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_empty_image_is_data_error(self, toy_setup, tmp_path, capsys, command):
+        base, root, config = toy_setup
+        corpus = make_toy_corpus(tmp_path / "corpus", n_train=2, n_val=1, height=64, width=64,
+                                 num_classes=4)
+        # train meets a 0x0 image/label pair; infer a 0-wide frame
+        dims = {"train": b"0 0", "infer": b"0 64"}[command]
+        empty = corpus / "images" / "train_000.ppm"
+        empty.write_bytes(b"P6\n" + dims + b"\n255\n")
+        (corpus / "labels" / "train_000.pgm").write_bytes(b"P5\n" + dims + b"\n255\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.read_text().replace(str(root), str(corpus))
+                       .replace(str(base / "run"), str(tmp_path / "run"))
+                       .replace("scales = 1.0", "scales = 0.75,1.5"))
+        argv = {"train": ["train"],
+                "infer": ["infer", str(base / "run" / "final.ckpt"), str(empty),
+                          str(tmp_path / "pred")]}[command]
+        assert main(["--config", str(cfg), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("data error: ") and "train_000.ppm: empty image" in err
+        assert "Traceback" not in out + err
+
     def test_crop_the_backbone_cannot_divide_is_refused_first(self, toy_setup, tmp_path, capsys):
         base, root, config = toy_setup
         cfg = tmp_path / "run.cfg"

@@ -50,6 +50,14 @@ class TestImageIO:
         with pytest.raises(DataError, match="truncated"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("reader,magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    @pytest.mark.parametrize("dims", [b"0 0", b"0 64", b"64 0"])
+    def test_empty_image_rejected(self, tmp_path, reader, magic, dims):
+        path = tmp_path / "empty.img"
+        path.write_bytes(magic + b"\n" + dims + b"\n255\n")
+        with pytest.raises(DataError, match="empty.img: empty image"):
+            reader(path)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from([read_ppm, read_pgm]),

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from s2fpn import Parameter, Tensor, ops, tape, using_dtype
-from s2fpn.augment import augment, resize_label, rng_for_sample
+from s2fpn.augment import augment, resize_image, resize_label, rng_for_sample
 from s2fpn.config import RunConfig
 from s2fpn.errors import DataError
 from s2fpn.losses import cross_entropy, ohem_cross_entropy, total_loss
 from s2fpn.optim import Adam, poly_lr
 
-from oracles import ohem_select_ref
+from oracles import bilinear_ref, ohem_select_ref
 
 
 def logits_for_true_probs(probs):
@@ -297,6 +297,14 @@ class TestAugment:
         twice_image, twice_label = augment(*once, np.random.default_rng(2), cfg)
         np.testing.assert_array_equal(twice_image, image)
         np.testing.assert_array_equal(twice_label, label)
+
+    @pytest.mark.parametrize("scale", RunConfig().scales)
+    def test_image_resize_matches_bilinear_oracle(self, scale):
+        image, _ = self.base_sample(seed=5)
+        out_h, out_w = round(16 * scale), round(24 * scale)
+        out = resize_image(image, out_h, out_w)
+        assert out.shape == (3, out_h, out_w) and out.dtype == np.float32
+        np.testing.assert_allclose(out, bilinear_ref(image[None], out_h, out_w)[0], atol=1e-6)
 
     def test_nearest_label_resize_preserves_value_set(self):
         _, label = self.base_sample(seed=2)

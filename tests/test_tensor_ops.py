@@ -9,6 +9,7 @@ from s2fpn import Parameter, Tensor, ops, set_debug_checks, tape, tensor, using_
 from s2fpn.errors import NumericCheckError, ShapeError, StateError
 from s2fpn.gradcheck import grad_check
 from s2fpn.losses import ohem_cross_entropy
+from s2fpn.nn import Dropout
 from s2fpn.ops import _im2col
 
 from oracles import (
@@ -210,6 +211,7 @@ class TestIm2col:
         "3x3-s2-p0": dict(c=4, hw=(7, 6), k=3, stride=2, padding=0),
         "3x3-s2-p1": dict(c=4, hw=(7, 6), k=3, stride=2, padding=1),
         "7x7-s2-p3": dict(c=3, hw=(9, 8), k=7, stride=2, padding=3),
+        "1x1-s1": dict(c=4, hw=(7, 6), k=1, stride=1, padding=0),
         "1x1-s2": dict(c=4, hw=(7, 6), k=1, stride=2, padding=0),
         "depthwise-s1": dict(c=8, hw=(5, 6), k=3, stride=1, padding=1),
         "depthwise-s2": dict(c=8, hw=(2, 4), k=3, stride=2, padding=1),
@@ -228,6 +230,10 @@ class TestIm2col:
         x = rng.standard_normal((n, spec["c"], h, w)).astype(np.float32)
         oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
         np.testing.assert_array_equal(_im2col(x, k, k, s, p, oh, ow), im2col_ref(x, k, k, s, p))
+
+    def test_pointwise_columns_view_a_single_image(self):
+        x = np.random.default_rng(0).standard_normal((1, 64, 16, 32)).astype(np.float32)
+        assert np.shares_memory(_im2col(x, 1, 1, 1, 0, 16, 32), x)
 
 
 def _held_beyond_output(kernel, x):
@@ -507,18 +513,19 @@ class TestSimpleOps:
 
     def test_dropout_eval_is_identity(self):
         x = t(np.arange(12).reshape(1, 3, 2, 2))
-        out = ops.dropout(x, 0.5, mode="eval")
+        out = Dropout(0.5).eval()(x)
+        assert out is x
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_dropout_train_scales_kept_values(self):
         x = t(np.ones((1, 1, 20, 20)))
-        out = ops.dropout(x, 0.25, mode="train", rng=np.random.default_rng(0))
+        out = ops.dropout(x, 0.25, np.random.default_rng(0))
         values = np.unique(out.data)
         assert set(np.round(values, 5)) <= {0.0, np.round(np.float32(1 / 0.75), 5)}
 
     def test_dropout_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            ops.dropout(t(np.zeros((1, 1, 1, 1))), 1.0, mode="train", rng=np.random.default_rng(0))
+            ops.dropout(t(np.zeros((1, 1, 1, 1))), 1.0, np.random.default_rng(0))
 
 
 class TestNumericGuard:

@@ -76,6 +76,13 @@ class Palette:
         return Palette(entries)
 
 
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_palette(name_or_path: str) -> Palette:
     if name_or_path in BUILTIN_PALETTES:
         text = (
@@ -85,7 +92,7 @@ def load_palette(name_or_path: str) -> Palette:
     path = Path(name_or_path)
     if not path.is_file():
         raise DataError(f"palette {name_or_path!r} is neither built-in nor a file")
-    return Palette.parse(path.read_text(), source=str(path))
+    return Palette.parse(_read_text(path, "palette"), source=str(path))
 
 
 def to_chw(image: np.ndarray) -> np.ndarray:
@@ -105,8 +112,8 @@ class SegDataset:
         for split in ("train", "val"):
             path = self.root / f"{split}.txt"
             if path.is_file():
-                names = [line.strip() for line in path.read_text().splitlines() if line.strip()]
-                self.splits[split] = names
+                lines = _read_text(path, "split file").splitlines()
+                self.splits[split] = [line.strip() for line in lines if line.strip()]
 
     def split(self, name: str) -> list[str]:
         if name not in self.splits:

@@ -83,8 +83,8 @@ def ohem_cross_entropy(
     def backward(g):
         if all_ignored:
             return (None,)
-        probs = np.exp(logp)
-        grad = probs
+        # recomputed from the logits the tape already holds, not kept
+        grad = np.exp(_log_softmax(logits.data))
         np.put_along_axis(
             grad,
             safe_labels[:, None],

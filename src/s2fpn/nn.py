@@ -110,10 +110,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 

@@ -19,7 +19,10 @@ _AXIS_NAMES = {"C": 1, "H": 2, "W": 3}
 def _make(data, inputs, backward, op: str, flops: int = 0) -> Tensor:
     """Every kernel's result goes through here: the finiteness guard names
     `op`, the cost counter gets `flops`, and the tape records `backward`
-    when an input needs a gradient."""
+    when an input needs a gradient. A record keeps its inputs, its output
+    where backward reads it (relu, sigmoid, softmax, max_pool), dropout's
+    boolean keep mask, and otherwise only per-channel values or per-pixel
+    index arrays: backward recomputes anything else it needs from those."""
     check_output(data, op)
     counter = current_counter()
     if counter is not None and flops:
@@ -511,7 +514,10 @@ def batch_norm(
     """Per-channel normalization over (N, H, W).
 
     Train mode uses batch statistics and updates the running buffers in
-    place; eval mode normalizes with the running statistics.
+    place; eval mode normalizes with the running statistics. Either way the
+    forward subtracts the mean, then applies one scale and one shift in
+    place on one new array (folding the mean into the shift loses digits
+    when |mean| >> std), and backward recomputes x̂ from `x`.
     """
     x = as_tensor(x)
     gamma = as_tensor(gamma, dtype=x.dtype.type)
@@ -524,55 +530,45 @@ def batch_norm(
         raise ShapeError(
             f"batch_norm affine shapes {gamma.shape}/{beta.shape} must be ({c},)"
         )
-    shape = (1, c, 1, 1)
+    rm, rv = (s.data if isinstance(s, Tensor) else s for s in (running_mean, running_var))
     if mode == "train":
-        count = n * h * w
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        if running_mean is not None:
-            rm = running_mean.data if isinstance(running_mean, Tensor) else running_mean
-            rv = running_var.data if isinstance(running_var, Tensor) else running_var
+        if rm is not None:
             rm *= 1.0 - momentum
             rm += momentum * mean.astype(rm.dtype)
             rv *= 1.0 - momentum
             rv += momentum * var.astype(rv.dtype)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-        out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
-
-        def backward(g):
-            grad_beta = np.ascontiguousarray(g.sum(axis=(0, 2, 3)))
-            grad_gamma = np.ascontiguousarray((g * xhat).sum(axis=(0, 2, 3)))
-            sum_g = grad_beta.reshape(shape)
-            sum_gx = grad_gamma.reshape(shape)
-            coeff = gamma.data.reshape(shape) * inv_std.reshape(shape)
-            grad_x = coeff * (g - sum_g / count - xhat * sum_gx / count)
-            return np.ascontiguousarray(grad_x), grad_gamma, grad_beta
-
     elif mode == "eval":
-        if running_mean is None or running_var is None:
+        if rm is None or rv is None:
             raise StateError("eval-mode batch_norm requires initialized running statistics")
-        rm = running_mean.data if isinstance(running_mean, Tensor) else np.asarray(running_mean)
-        rv = running_var.data if isinstance(running_var, Tensor) else np.asarray(running_var)
-        if rm.shape != (c,) or rv.shape != (c,):
-            raise ShapeError(f"running stat shapes {rm.shape}/{rv.shape} must be ({c},)")
-        # subtract first, then one scale and one shift, in place on one new
-        # array; folding the mean into the shift loses digits when |mean| >> std
-        mean = rm.astype(x.dtype).reshape(shape)
-        inv_std = (1.0 / np.sqrt(rv.astype(x.dtype) + eps)).reshape(shape)
-        scale = gamma.data.reshape(shape) * inv_std
-        out = x.data - mean
-        out *= scale
-        out += beta.data.reshape(shape)
-
-        def backward(g):
-            grad_beta = np.ascontiguousarray(g.sum(axis=(0, 2, 3)))
-            xhat = (x.data - mean) * inv_std
-            grad_gamma = np.ascontiguousarray((g * xhat).sum(axis=(0, 2, 3)))
-            return g * scale, grad_gamma, grad_beta
-
+        mean, var = np.asarray(rm).astype(x.dtype), np.asarray(rv).astype(x.dtype)
+        if mean.shape != (c,) or var.shape != (c,):
+            raise ShapeError(f"running stat shapes {mean.shape}/{var.shape} must be ({c},)")
     else:
         raise ValueError(f"batch_norm mode must be train or eval, got {mode!r}")
+    shape = (1, c, 1, 1)
+    mean = mean.reshape(shape)
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(shape)
+    scale = gamma.data.reshape(shape) * inv_std
+    out = x.data - mean
+    out *= scale
+    out += beta.data.reshape(shape)
+
+    def backward(g):
+        grad_beta = g.sum(axis=(0, 2, 3))
+        xhat = x.data - mean
+        xhat *= inv_std
+        grad_gamma = (g * xhat).sum(axis=(0, 2, 3))
+        if mode == "train":
+            # the batch mean and variance depend on x too
+            count = n * h * w
+            xhat *= grad_gamma.reshape(shape)
+            xhat /= count
+            g = g - grad_beta.reshape(shape) / count
+            g -= xhat
+        return g * scale, grad_gamma, grad_beta
+
     return _make(np.ascontiguousarray(out), (x, gamma, beta), backward, "batch_norm", 2 * x.size)
 
 

@@ -488,6 +488,29 @@ class TestCliCommands:
         assert err.startswith("data error: ") and "train_000.ppm: empty image" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("broken", ["config", "palette", "split"])
+    def test_undecodable_text_file_is_refused(self, toy_setup, tmp_path, capsys, broken):
+        base, root, config = toy_setup
+        corpus = make_toy_corpus(tmp_path / "corpus", n_train=2, n_val=1, height=64, width=64,
+                                 num_classes=4)
+        palette = tmp_path / "toy.palette"
+        palette.write_bytes((base / "toy.palette").read_bytes())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.read_text().replace(str(root), str(corpus))
+                       .replace(str(base / "run"), str(tmp_path / "run"))
+                       .replace(str(base / "toy.palette"), str(palette)))
+        # a 0xff byte is never valid UTF-8
+        target = {"config": cfg, "palette": palette, "split": corpus / "train.txt"}[broken]
+        target.write_bytes(target.read_bytes() + b"\xff\n")
+        argv = {"config": ["train"], "split": ["train"],
+                "palette": ["infer", str(base / "run" / "final.ckpt"),
+                            str(corpus / "images" / "val_000.ppm"), str(tmp_path / "pred")]}[broken]
+        code, prefix = (1, "error: ") if broken == "config" else (2, "data error: ")
+        assert main(["--config", str(cfg), *argv]) == code
+        out, err = capsys.readouterr()
+        assert err.startswith(prefix) and str(target) in err
+        assert "Traceback" not in out + err
+
     def test_crop_the_backbone_cannot_divide_is_refused_first(self, toy_setup, tmp_path, capsys):
         base, root, config = toy_setup
         cfg = tmp_path / "run.cfg"

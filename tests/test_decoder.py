@@ -142,7 +142,8 @@ class TestModelForward:
             names = [name for name, _ in model.named_parameters()]
             recorder = tape()
             for trial in range(3):
-                model.zero_grad()
+                for p in model.parameters():
+                    p.zero_grad()
                 recorder.reset()
                 x = rand((2, 3, 64, 64), 40 + trial, dtype=np.float64)
                 labels = rng.integers(0, 4, size=(2, 64, 64))

@@ -313,6 +313,36 @@ class TestBatchNorm:
         with pytest.raises(StateError):
             ops.batch_norm(x, t(np.ones(2)), t(np.zeros(2)), None, None, mode="eval")
 
+    def test_train_equals_eval_on_the_batch_statistics(self):
+        # one forward formula: only where mean and variance come from differs
+        rng = np.random.default_rng(5)
+        x = t(3.0 + rng.standard_normal((2, 4, 6, 5)))
+        gamma, beta = t(rng.standard_normal(4)), t(rng.standard_normal(4))
+        rm, rv = t(x.data.mean(axis=(0, 2, 3))), t(x.data.var(axis=(0, 2, 3)))
+        train = ops.batch_norm(x, gamma, beta, None, None, mode="train")
+        evaluated = ops.batch_norm(x, gamma, beta, rm, rv, mode="eval")
+        np.testing.assert_array_equal(train.data, evaluated.data)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_keeps_only_per_channel_values(self, mode):
+        # backward recomputes x̂ from x rather than keeping it
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 8, 32, 32)).astype(np.float32), requires_grad=True)
+        rm, rv = t(np.zeros(8)), t(np.ones(8))
+        held = _held_beyond_output(
+            lambda v: ops.batch_norm(v, t(np.ones(8)), t(np.zeros(8)), rm, rv, mode=mode), x
+        )
+        assert held < 4096, f"{held} bytes held beyond the output"
+
+
+def test_ohem_keeps_less_than_its_logits():
+    # backward recomputes the log-softmax from the logits on the tape
+    rng = np.random.default_rng(7)
+    logits = Tensor(rng.standard_normal((2, 8, 32, 32)).astype(np.float32), requires_grad=True)
+    labels = rng.integers(0, 8, size=(2, 32, 32))
+    held = _held_beyond_output(lambda v: ohem_cross_entropy(v, labels), logits)
+    assert held < logits.data.nbytes, f"{held} bytes held beyond the loss"
+
 
 class TestPooling:
     def test_strip_avg_hand_case(self):

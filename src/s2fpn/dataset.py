@@ -130,7 +130,8 @@ class SegDataset:
         return image, label
 
     def load(self, basename: str) -> tuple[np.ndarray, np.ndarray]:
-        """Raw (3, H, W) float32 image in [0, 1] and (H, W) int label map."""
+        """Raw (3, H, W) float32 image in [0, 1] and the (H, W) uint8 label
+        map as the PGM holds it (labels are 8-bit)."""
         image_path, label_path = self.paths_for(basename)
         image = read_ppm(image_path)
         label = read_pgm(label_path)
@@ -138,7 +139,7 @@ class SegDataset:
             raise DataError(
                 f"{basename}: image dims {image.shape[:2]} != label dims {label.shape}"
             )
-        return to_chw(image), label.astype(np.int64)
+        return to_chw(image), label
 
     def compute_normalization(self, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
         """Per-channel mean/std over the split's images (in [0, 1] units)."""

@@ -25,8 +25,7 @@ def ohem_cross_entropy(
     threshold: float = 0.7,
     min_kept: int = 1,
     ignore_index: int = 255,
-    return_details: bool = False,
-):
+) -> Tensor:
     """Mean cross-entropy over mined pixels.
 
     A pixel is hard when the probability of its true class falls below
@@ -44,7 +43,6 @@ def ohem_cross_entropy(
         raise ShapeError(
             f"labels shape {labels.shape} does not match logits {logits.shape}"
         )
-    labels = labels.astype(np.int64)
     valid = labels != ignore_index
     bad = valid & ((labels < 0) | (labels >= k))
     if bad.any():
@@ -57,15 +55,13 @@ def ohem_cross_entropy(
     safe_labels = np.where(valid, labels, 0)
     logp = _log_softmax(logits.data)
     logp_true = np.take_along_axis(logp, safe_labels[:, None], axis=1)[:, 0]
-    p_true = np.exp(logp_true)
     n_valid = int(flat_valid.sum())
     all_ignored = n_valid == 0
-    n_sel = 0
     if all_ignored:
         log.warning("ohem_cross_entropy: every pixel carries the ignore label")
         loss_value = np.zeros((), dtype=logits.dtype)
     else:
-        flat_p = p_true.reshape(-1)
+        flat_p = np.exp(logp_true).reshape(-1)
         hard = flat_valid & (flat_p < threshold)
         n_hard = int(hard.sum())
         if n_hard >= min_kept:
@@ -83,7 +79,7 @@ def ohem_cross_entropy(
     def backward(g):
         if all_ignored:
             return (None,)
-        # recomputed from the logits the tape already holds, not kept
+        # recomputed from the logits this closure reads, not kept
         grad = np.exp(_log_softmax(logits.data))
         np.put_along_axis(
             grad,
@@ -94,16 +90,7 @@ def ohem_cross_entropy(
         grad *= (sel_map[:, None] * (g / n_sel)).astype(grad.dtype)
         return (np.ascontiguousarray(grad),)
 
-    loss = ops._make(loss_value, (logits,), backward, "ohem_cross_entropy")
-    if return_details:
-        return loss, {
-            "selected": sel_map,
-            "true_class_prob": p_true,
-            "num_selected": n_sel,
-            "num_valid": n_valid,
-            "all_ignored": all_ignored,
-        }
-    return loss
+    return ops._make(loss_value, (logits,), backward, "ohem_cross_entropy")
 
 
 def cross_entropy(logits, labels, ignore_index: int = 255):

@@ -19,10 +19,11 @@ _AXIS_NAMES = {"C": 1, "H": 2, "W": 3}
 def _make(data, inputs, backward, op: str, flops: int = 0) -> Tensor:
     """Every kernel's result goes through here: the finiteness guard names
     `op`, the cost counter gets `flops`, and the tape records `backward`
-    when an input needs a gradient. A record keeps its inputs, its output
-    where backward reads it (relu, sigmoid, softmax, max_pool), dropout's
-    boolean keep mask, and otherwise only per-channel values or per-pixel
-    index arrays: backward recomputes anything else it needs from those."""
+    when an input needs a gradient. The tape holds no Tensors, so what some
+    backward closure reads is all that stays alive until backward: the
+    arrays it reads (an input, its output for relu, sigmoid, softmax and
+    max_pool, dropout's keep mask, per-channel values or per-pixel index
+    arrays) and shapes of everything else; it recomputes the rest."""
     check_output(data, op)
     counter = current_counter()
     if counter is not None and flops:
@@ -67,20 +68,21 @@ def elementwise(a, b, op: str) -> Tensor:
     """Broadcasting add/mul; gradients are summed over broadcast axes."""
     a = as_tensor(a)
     b = as_tensor(b, dtype=a.dtype.type)
-    _broadcast_check(a.shape, b.shape)
+    a_shape, b_shape = a.shape, b.shape
+    _broadcast_check(a_shape, b_shape)
     if op == "add":
         data = a.data + b.data
 
         def backward(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     elif op == "mul":
         data = a.data * b.data
 
         def backward(g):
             return (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
+                _unbroadcast(g * b.data, a_shape),
+                _unbroadcast(g * a.data, b_shape),
             )
 
     else:
@@ -116,9 +118,10 @@ def concat(tensors, axis: int = 1) -> Tensor:
 def tensor_sum(x) -> Tensor:
     x = as_tensor(x)
     data = np.array(x.data.sum(), dtype=x.dtype)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        return (np.full_like(x.data, g),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _make(data, (x,), backward, "sum", x.size)
 
@@ -126,9 +129,10 @@ def tensor_sum(x) -> Tensor:
 def tensor_mean(x) -> Tensor:
     x = as_tensor(x)
     data = np.array(x.data.mean(), dtype=x.dtype)
+    shape, dtype, size = x.shape, x.dtype, x.size
 
     def backward(g):
-        return (np.full_like(x.data, g / x.data.size),)
+        return (np.full(shape, g / size, dtype=dtype),)
 
     return _make(data, (x,), backward, "mean", x.size)
 
@@ -230,7 +234,7 @@ def strip_pool(x, mode: str = "avg") -> Tensor:
         data = (_sequential_sum(x.data, 3) / w)[..., None]
 
         def backward(g):
-            return (np.ascontiguousarray(np.broadcast_to(g / w, x.shape)),)
+            return (np.ascontiguousarray(np.broadcast_to(g / w, (n, c, h, w))),)
 
     elif mode == "max":
         idx = x.data.argmax(axis=3)
@@ -256,7 +260,7 @@ def global_avg_pool(x) -> Tensor:
     data = (_sequential_sum(_sequential_sum(x.data, 3), 2) / (h * w))[..., None, None]
 
     def backward(g):
-        return (np.ascontiguousarray(np.broadcast_to(g / (h * w), x.shape)),)
+        return (np.ascontiguousarray(np.broadcast_to(g / (h * w), (n, c, h, w))),)
 
     return _make(data, (x,), backward, "global_avg_pool", x.size)
 
@@ -487,7 +491,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
         grad_w = np.matmul(g_g, columns().transpose(0, 2, 1)).reshape(weight.shape)
         grad_cols = np.matmul(w_g.transpose(0, 2, 1), g_g)
         grad_x = _col2im(
-            grad_cols.reshape(c * kh * kw, length), x.shape, kh, kw, stride, padding, oh, ow
+            grad_cols.reshape(c * kh * kw, length), (n, c, h, w), kh, kw, stride, padding, oh, ow
         )
         grad_b = None if bias is None else np.ascontiguousarray(g.sum(axis=(0, 2, 3)))
         return grad_x, grad_w, grad_b

@@ -75,12 +75,28 @@ def no_grad():
 
 
 class _Record:
-    __slots__ = ("out", "inputs", "backward")
+    """One recorded op: its backward closure, for each input the record that
+    produced it (or the leaf Tensor that wants its gradient, or None), and
+    its output's gradient so far. It never reaches its own output, so an
+    activation that no closure reads is freed by reference counting."""
 
-    def __init__(self, out, inputs, backward):
-        self.out = out
-        self.inputs = inputs
+    __slots__ = ("backward", "sources", "grad")
+
+    def __init__(self, backward, sources):
         self.backward = backward
+        self.sources = sources
+        self.grad = None
+
+
+def _send(source, grad: np.ndarray) -> None:
+    """Add `grad` to a leaf's `.grad` or to a live record's output gradient;
+    a record that was consumed or reset takes nothing."""
+    if isinstance(source, Tensor):
+        if source.grad is None:
+            source.grad = np.zeros_like(source.data)
+        source.grad += grad
+    elif source is not None and source.backward is not None:
+        source.grad = grad if source.grad is None else source.grad + grad
 
 
 class Tape:
@@ -97,9 +113,13 @@ class Tape:
         return len(self._records)
 
     def record(self, out: "Tensor", inputs, backward) -> None:
-        self._records.append(_Record(out, tuple(inputs), backward))
+        sources = tuple((t._record or t) if t is not None and t.requires_grad else None for t in inputs)
+        out._record = _Record(backward, sources)
+        self._records.append(out._record)
 
     def reset(self) -> None:
+        for rec in self._records:
+            rec.backward = rec.grad = None
         self._records.clear()
 
     def backward(self, loss: "Tensor") -> None:
@@ -112,31 +132,16 @@ class Tape:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
             )
-        produced = {id(rec.out) for rec in self._records}
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, Tensor] = {}
-        if id(loss) not in produced and loss.requires_grad:
-            leaves[id(loss)] = loss
+        _send(loss._record or (loss if loss.requires_grad else None), np.ones_like(loss.data))
         while self._records:
             rec = self._records.pop()
-            g = grads.pop(id(rec.out), None)
+            backward, rec.backward = rec.backward, None
+            g, rec.grad = rec.grad, None
             if g is None:
                 continue
-            input_grads = rec.backward(g)
-            for tensor, grad in zip(rec.inputs, input_grads):
-                if tensor is None or grad is None or not tensor.requires_grad:
-                    continue
-                key = id(tensor)
-                if key in grads:
-                    grads[key] = grads[key] + grad
-                else:
-                    grads[key] = grad
-                if key not in produced:
-                    leaves[key] = tensor
-        for key, tensor in leaves.items():
-            if tensor.grad is None:
-                tensor.grad = np.zeros_like(tensor.data)
-            tensor.grad += grads[key]
+            for source, grad in zip(rec.sources, backward(g)):
+                if grad is not None:
+                    _send(source, grad)
 
 
 def tape() -> Tape:
@@ -155,7 +160,7 @@ class Tensor:
     buffer of the same shape as `data`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_record")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -168,6 +173,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._record: _Record | None = None  # set when an op records this as its output
 
     @property
     def shape(self):

@@ -4,13 +4,16 @@ Every intermediate the block tests assert on is the input or output of
 one of the block's child modules, or one op on them. `capture` records
 those calls for the duration of a `with` block by wrapping each child's
 `forward`; the `*_parts` helpers run one forward and name what they read.
+`ohem_selection` reads the pixels a hard-pixel-mined loss selected off its
+gradient.
 """
 
 import contextlib
 
 import numpy as np
 
-from s2fpn import no_grad, ops
+from s2fpn import Parameter, no_grad, ops, tape
+from s2fpn.losses import ohem_cross_entropy
 
 
 @contextlib.contextmanager
@@ -98,3 +101,13 @@ def gfu_parts(block, x_deep, x_pyramid):
         "pyramid_branch": branch,
         "fused": fused,
     }
+
+
+def ohem_selection(logits, labels, **kwargs):
+    """Run `ohem_cross_entropy` on float64 `logits` and its backward; return
+    (loss, flat indices of the selected pixels). A pixel is selected when
+    its column of the logit gradient is non-zero."""
+    leaf = Parameter(logits, dtype=np.float64)
+    loss = ohem_cross_entropy(leaf, labels, **kwargs)
+    tape().backward(loss)
+    return loss, set(np.flatnonzero(np.abs(leaf.grad).sum(axis=1)))

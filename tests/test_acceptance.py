@@ -15,7 +15,6 @@ from s2fpn.analysis import benchmark_latency, count_flops, count_params
 from s2fpn.attention import ChannelAttention, StripAttention
 from s2fpn.config import RunConfig
 from s2fpn.dataset import SegDataset
-from s2fpn.losses import ohem_cross_entropy
 from s2fpn.metrics import ConfusionMatrix
 from s2fpn.model import S2FPN
 from s2fpn.optim import Adam, poly_lr
@@ -25,7 +24,7 @@ from s2fpn.tensor import Parameter
 from s2fpn.trainer import Trainer, evaluate_model
 from s2fpn.verification import run_verification
 
-from capture import pyramid_stage_parts, strip_attention_parts
+from capture import ohem_selection, pyramid_stage_parts, strip_attention_parts
 from oracles import apf_ref, gfu_ref, ohem_select_ref, ssam_ref
 
 PARAMS_18M = 17.8e6
@@ -284,11 +283,7 @@ class TestCriterion6OhemExactness:
             if rng.random() < 0.3:
                 labels[rng.random(size=labels.shape) < 0.25] = 255
             min_kept = int(rng.integers(1, h * w + 1))
-            _, details = ohem_cross_entropy(
-                Tensor(logits, dtype=np.float64), labels, threshold=0.7,
-                min_kept=min_kept, return_details=True,
-            )
-            got = set(np.flatnonzero(details["selected"].reshape(-1)))
+            _, got = ohem_selection(logits, labels, threshold=0.7, min_kept=min_kept)
             ref, _ = ohem_select_ref(logits, labels, 0.7, min_kept)
             if got != ref:
                 mismatches += 1

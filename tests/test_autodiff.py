@@ -7,14 +7,10 @@ import pytest
 
 from s2fpn import Parameter, Tensor, ops, tape, using_dtype
 from s2fpn.errors import ShapeError
+from s2fpn.nn import ConvBNReLU
 from s2fpn.verification import kernel_checks
 
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    tape().reset()
-    yield
-    tape().reset()
+from capture import capture
 
 
 def test_linear_case_grad_is_x():
@@ -47,6 +43,20 @@ def test_backward_frees_intermediates_the_caller_dropped():
         tape().backward(loss)
         assert ref() is None
         np.testing.assert_array_equal(w.grad, np.full((1, 1, 2, 2), 6.0))
+
+
+def test_forward_frees_an_activation_no_backward_reads():
+    # a train-mode BN output feeds only the ReLU, whose backward reads its
+    # own output: once the forward returns nothing holds the BN output
+    block = ConvBNReLU(3, 4, 3, rng=np.random.default_rng(0)).train()
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 8, 8)).astype(np.float32))
+    with capture(block) as calls:
+        out = block(x)
+    bn_out = weakref.ref(calls["bn"][0][1].data)
+    del calls
+    assert bn_out() is None
+    tape().backward(ops.tensor_sum(out))
+    assert np.any(block.conv.weight.grad != 0)
 
 
 def test_zero_upstream_gives_zero_param_grads():

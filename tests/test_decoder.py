@@ -144,7 +144,6 @@ class TestModelForward:
             for trial in range(3):
                 for p in model.parameters():
                     p.zero_grad()
-                recorder.reset()
                 x = rand((2, 3, 64, 64), 40 + trial, dtype=np.float64)
                 labels = rng.integers(0, 4, size=(2, 64, 64))
                 main, aux = model(x)
@@ -156,7 +155,6 @@ class TestModelForward:
                     for name, p in model.named_parameters()
                     if p.grad is not None and np.any(p.grad != 0)
                 }
-            recorder.reset()
             assert sorted(set(names) - alive) == []
 
     def test_train_eval_consistency_with_frozen_stats(self):

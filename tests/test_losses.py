@@ -10,6 +10,7 @@ from s2fpn.errors import DataError
 from s2fpn.losses import cross_entropy, ohem_cross_entropy, total_loss
 from s2fpn.optim import Adam, poly_lr
 
+from capture import ohem_selection
 from oracles import bilinear_ref, ohem_select_ref
 
 
@@ -24,24 +25,16 @@ class TestOhem:
     def test_threshold_selects_hard_pixels(self):
         logits = logits_for_true_probs([0.9, 0.8, 0.6, 0.5])
         labels = np.zeros((1, 1, 4), dtype=np.int64)
-        loss, details = ohem_cross_entropy(
-            logits, labels, threshold=0.7, min_kept=1, return_details=True
-        )
-        np.testing.assert_array_equal(
-            details["selected"].reshape(-1), [False, False, True, True]
-        )
+        loss, selected = ohem_selection(logits, labels, threshold=0.7, min_kept=1)
+        assert selected == {2, 3}
         expected = -(np.log(0.6) + np.log(0.5)) / 2
         assert abs(loss.item() - expected) < 1e-10
 
     def test_min_kept_floor_takes_lowest(self):
         logits = logits_for_true_probs([0.95, 0.9, 0.8, 0.75])
         labels = np.zeros((1, 1, 4), dtype=np.int64)
-        loss, details = ohem_cross_entropy(
-            logits, labels, threshold=0.7, min_kept=2, return_details=True
-        )
-        np.testing.assert_array_equal(
-            details["selected"].reshape(-1), [False, False, True, True]
-        )
+        _, selected = ohem_selection(logits, labels, threshold=0.7, min_kept=2)
+        assert selected == {2, 3}
 
     def test_perfect_prediction_drives_loss_to_zero(self):
         logits = np.full((1, 3, 2, 2), -50.0)
@@ -62,28 +55,23 @@ class TestOhem:
         if rng.random() < 0.5:
             labels[rng.random(size=labels.shape) < 0.2] = 255
         min_kept = int(rng.integers(1, h * w + 1))
-        loss, details = ohem_cross_entropy(
-            Tensor(logits, dtype=np.float64), labels, threshold=0.7,
-            min_kept=min_kept, return_details=True,
-        )
+        loss, got_idx = ohem_selection(logits, labels, threshold=0.7, min_kept=min_kept)
         ref_idx, ref_loss = ohem_select_ref(logits, labels, 0.7, min_kept)
-        got_idx = set(np.flatnonzero(details["selected"].reshape(-1)))
         assert got_idx == ref_idx
         if ref_idx:
             assert abs(loss.item() - ref_loss) < 1e-10
 
-    def test_all_ignored_is_zero_with_flag(self):
-        logits = Tensor(np.random.default_rng(1).standard_normal((1, 3, 2, 2)))
-        labels = np.full((1, 2, 2), 255)
-        loss, details = ohem_cross_entropy(logits, labels, return_details=True)
+    def test_all_ignored_is_zero_without_gradient(self):
+        logits = Tensor(np.random.default_rng(1).standard_normal((1, 3, 2, 2)), requires_grad=True)
+        loss = ohem_cross_entropy(logits, np.full((1, 2, 2), 255))
         assert loss.item() == 0.0
-        assert details["all_ignored"]
+        tape().backward(loss)
+        assert logits.grad is None
 
     def test_all_ignored_backward_leaves_zero_gradient(self):
         logits = Parameter(np.random.default_rng(1).standard_normal((1, 3, 2, 2)))
         loss = ohem_cross_entropy(logits, np.full((1, 2, 2), 255))
         tape().backward(loss)
-        tape().reset()
         assert np.array_equal(logits.grad, np.zeros_like(logits.data))
 
     @pytest.mark.parametrize("bad", [4, 9, -1])
@@ -111,16 +99,10 @@ class TestOhem:
                 requires_grad=True, dtype=np.float64,
             )
             labels = np.random.default_rng(4).integers(0, 3, size=(1, 2, 3))
-            recorder = tape()
-            recorder.reset()
-            loss, details = ohem_cross_entropy(
-                logits, labels, threshold=0.5, min_kept=2, return_details=True
-            )
-            recorder.backward(loss)
+            tape().backward(ohem_cross_entropy(logits, labels, threshold=0.5, min_kept=2))
             per_pixel = np.abs(logits.grad).sum(axis=1)
-            selected = details["selected"]
-            assert np.all((per_pixel > 0) == selected)
-            recorder.reset()
+            selected, _ = ohem_select_ref(logits.data, labels, 0.5, 2)
+            assert set(np.flatnonzero(per_pixel > 0)) == selected
 
 
 class TestTotalLoss:
@@ -260,7 +242,6 @@ class TestAdam:
             opt = Adam([a, b])
             recorder = tape()
             for step in range(5000):
-                recorder.reset()
                 opt.zero_grad()
                 da = a - target_a
                 db = b - target_b
@@ -272,7 +253,6 @@ class TestAdam:
                 if grad_norm < 1e-6:
                     break
                 opt.step(1e-2)
-            recorder.reset()
             assert grad_norm < 1e-6, f"grad norm {grad_norm} after {step} steps"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from s2fpn import Parameter, Tensor, ops, set_debug_checks, tape, tensor, using_dtype
+from s2fpn.backbone import BasicBlock
 from s2fpn.errors import NumericCheckError, ShapeError, StateError
 from s2fpn.gradcheck import grad_check
 from s2fpn.losses import ohem_cross_entropy
@@ -125,7 +126,6 @@ class TestConv2dBatch:
                 return ops.tensor_sum(y * y)
 
             res = grad_check(loss, wrt)
-        tape().reset()
         assert res.max_rel_err < 1e-4, f"{case}: {res}"
 
     def test_grad_forward_keeps_only_its_input(self):
@@ -236,7 +236,7 @@ class TestIm2col:
         assert np.shares_memory(_im2col(x, 1, 1, 1, 0, 16, 32), x)
 
 
-def _held_beyond_output(kernel, x):
+def _held_beyond_output(kernel, x, records=1):
     """Bytes a grad-enabled kernel keeps alive beyond its output."""
     tape().reset()
     tracemalloc.start()
@@ -246,7 +246,7 @@ def _held_beyond_output(kernel, x):
         held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
     finally:
         tracemalloc.stop()
-    assert len(tape()) == 1
+    assert len(tape()) == records
     tape().reset()
     return held
 
@@ -267,7 +267,6 @@ class TestBatchNorm:
                 return ops.tensor_sum(y * y)
 
             res = grad_check(loss, {"x": x, "gamma": gamma, "beta": beta})
-        tape().reset()
         assert res.max_rel_err < 1e-4, str(res)
 
     def test_eval_identity_normalization(self):
@@ -344,6 +343,25 @@ def test_ohem_keeps_less_than_its_logits():
     assert held < logits.data.nbytes, f"{held} bytes held beyond the loss"
 
 
+def test_ohem_keeps_no_wide_copy_of_uint8_labels():
+    # the labels as a PGM holds them: no per-call int64 copy on the tape
+    rng = np.random.default_rng(7)
+    logits = Tensor(rng.standard_normal((2, 8, 32, 32)).astype(np.float32), requires_grad=True)
+    labels = rng.integers(0, 8, size=(2, 32, 32)).astype(np.uint8)
+    held = _held_beyond_output(lambda v: ohem_cross_entropy(v, labels), logits)
+    assert held <= 4 * labels.size, f"{held / labels.size:.2f} B/px held beyond the loss"
+
+
+def test_basic_block_keeps_only_what_backward_reads():
+    # conv outputs (read by BN) and the inner ReLU output stay; the BN
+    # outputs and the residual sum, which no backward reads, are freed
+    rng = np.random.default_rng(9)
+    block = BasicBlock(64, 64, 1, rng).train()
+    x = Tensor(rng.standard_normal((2, 64, 16, 16)).astype(np.float32), requires_grad=True)
+    held = _held_beyond_output(block, x, records=7)
+    assert held <= 3.5 * x.data.nbytes, f"{held / x.data.nbytes:.2f} outputs held beyond the output"
+
+
 class TestPooling:
     def test_strip_avg_hand_case(self):
         x = t(np.array([[1, 2, 3], [4, 5, 6]]).reshape(1, 1, 2, 3))
@@ -402,7 +420,6 @@ class TestPooling:
         out = ops.max_pool(xp, kernel, stride, padding)
         g = rng.integers(-4, 5, out.shape).astype(np.float64)
         tape().backward(ops.tensor_sum(out * Tensor(g)))
-        tape().reset()
         np.testing.assert_array_equal(xp.grad, max_pool_grad_ref(x, g, kernel, stride, padding))
 
     def test_max_pool_and_relu_keep_only_their_output(self):
@@ -447,10 +464,8 @@ class TestBilinear:
         rng = np.random.default_rng(10)
         x = Parameter(rng.standard_normal((2, 3, 4, 5)), dtype=np.float64)
         g = rng.standard_normal((2, 3, *out_hw))
-        tape().reset()
         up = ops.bilinear_upsample(x, *out_hw)
         tape().backward(ops.tensor_sum(up * Tensor(g, dtype=np.float64)))
-        tape().reset()
         assert abs(np.vdot(up.data, g) - np.vdot(x.data, x.grad)) < 1e-12
 
     def test_down_then_up_of_constant(self):
@@ -538,7 +553,6 @@ class TestSimpleOps:
         out = ops.relu(x)
         np.testing.assert_array_equal(out.data.reshape(4), [np.nan, 0.0, 0.0, 2.0])
         tape().backward(ops.tensor_sum(out * Tensor(np.ones(out.shape))))
-        tape().reset()
         np.testing.assert_array_equal(x.grad.reshape(4), [0.0, 0.0, 0.0, 1.0])
 
     def test_dropout_eval_is_identity(self):

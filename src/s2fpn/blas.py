@@ -1,9 +1,8 @@
 """BLAS thread cap that reports what it actually did.
 
-threadpoolctl drives the cap when it is installed. Without it, the OpenBLAS
-library numpy loaded is found in the process's memory map and its
-`*openblas_set_num_threads*` entry point is called through ctypes; the
-count it reports back is what latency reports print.
+The OpenBLAS library numpy loaded is found in the process's memory map, and
+its `*openblas_{get,set}_num_threads*` pair is called through ctypes: the
+cap and the count that latency reports print go through the same library.
 """
 
 from __future__ import annotations
@@ -49,27 +48,17 @@ def blas_threads() -> int | None:
 def thread_limit(threads: int | None):
     """Cap BLAS threads inside the block and restore the old count after.
 
-    A falsy `threads` leaves the count alone. Where neither threadpoolctl
-    nor OpenBLAS is found the block runs uncapped; `blas_threads()` then
-    reads None, so reports say the count is unknown instead of claiming it.
+    A falsy `threads` leaves the count alone. Where no OpenBLAS is found the
+    block runs uncapped; `blas_threads()` then reads None, so reports say
+    the count is unknown instead of claiming it.
     """
-    if not threads:
+    if not threads or (fns := _openblas()) is None:
         yield
         return
+    get, put = fns
+    previous = get()
+    put(threads)
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        fns = _openblas()
-        if fns is None:
-            yield
-            return
-        get, put = fns
-        previous = get()
-        put(threads)
-        try:
-            yield
-        finally:
-            put(previous)
-        return
-    with threadpool_limits(limits=threads):
         yield
+    finally:
+        put(previous)

@@ -45,7 +45,6 @@ class RunConfig:
     ohem_min_kept: int = 0  # 0 = derive from crop size (pixels / 16)
     ignore_index: int = 255
     aux_weight: float = 0.4
-    aux_ohem: bool = True
     scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
     flip_prob: float = 0.5
     seed: int = 0

@@ -36,16 +36,12 @@ class GlobalFeatureUpsample(Module):
 
 
 class SegHead(Module):
-    """1x1 classifier at pyramid resolution, bilinearly upsampled to the
-    network input resolution."""
+    """1x1 classifier at pyramid resolution (stride 4)."""
 
     def __init__(self, channels: int, num_classes: int, rng=None):
         super().__init__()
         self.num_classes = num_classes
         self.classifier = Conv2d(channels, num_classes, 1, bias=True, rng=rng)
 
-    def forward(self, x, out_h: int, out_w: int):
-        logits = self.classifier(x)
-        if logits.shape[2] == out_h and logits.shape[3] == out_w:
-            return logits
-        return ops.bilinear_upsample(logits, out_h, out_w)
+    def forward(self, x):
+        return self.classifier(x)

@@ -26,7 +26,11 @@ def ohem_cross_entropy(
     min_kept: int = 1,
     ignore_index: int = 255,
 ) -> Tensor:
-    """Mean cross-entropy over mined pixels.
+    """Mean cross-entropy over mined pixels of (N, H, W) `labels`.
+
+    Logits of another spatial size are resampled to (H, W) here, with the
+    arithmetic of `ops.bilinear_upsample`; backward recomputes that resample
+    and applies its adjoint, so only the logits as given stay alive.
 
     A pixel is hard when the probability of its true class falls below
     `threshold`; if fewer than `min_kept` pixels qualify, the `min_kept`
@@ -36,13 +40,20 @@ def ohem_cross_entropy(
     """
     logits = as_tensor(logits)
     labels = np.asarray(labels)
-    if labels.ndim == 2:
-        labels = labels[None]
-    n, k, h, w = logits.shape
-    if labels.shape != (n, h, w):
+    n, k, h_in, w_in = logits.shape
+    if labels.ndim != 3 or labels.shape[0] != n:
         raise ShapeError(
             f"labels shape {labels.shape} does not match logits {logits.shape}"
         )
+    h, w = labels.shape[1:]
+    x = logits.data
+    resampled = (h_in, w_in) != (h, w)
+    mh = ops.interp_matrix(h_in, h, x.dtype)
+    mw = ops.interp_matrix(w_in, w, x.dtype)
+
+    def log_probs():
+        return _log_softmax(mh @ (x @ mw.T) if resampled else x)
+
     valid = labels != ignore_index
     bad = valid & ((labels < 0) | (labels >= k))
     if bad.any():
@@ -53,8 +64,7 @@ def ohem_cross_entropy(
     flat_valid = valid.reshape(-1)
     selected = np.zeros_like(flat_valid)
     safe_labels = np.where(valid, labels, 0)
-    logp = _log_softmax(logits.data)
-    logp_true = np.take_along_axis(logp, safe_labels[:, None], axis=1)[:, 0]
+    logp_true = np.take_along_axis(log_probs(), safe_labels[:, None], axis=1)[:, 0]
     n_valid = int(flat_valid.sum())
     all_ignored = n_valid == 0
     if all_ignored:
@@ -80,7 +90,7 @@ def ohem_cross_entropy(
         if all_ignored:
             return (None,)
         # recomputed from the logits this closure reads, not kept
-        grad = np.exp(_log_softmax(logits.data))
+        grad = np.exp(log_probs())
         np.put_along_axis(
             grad,
             safe_labels[:, None],
@@ -88,39 +98,20 @@ def ohem_cross_entropy(
             axis=1,
         )
         grad *= (sel_map[:, None] * (g / n_sel)).astype(grad.dtype)
-        return (np.ascontiguousarray(grad),)
+        return (mh.T @ (grad @ mw) if resampled else grad,)
 
     return ops._make(loss_value, (logits,), backward, "ohem_cross_entropy")
-
-
-def cross_entropy(logits, labels, ignore_index: int = 255):
-    """Plain mean cross-entropy over valid pixels (threshold above 1 keeps
-    every valid pixel, so mining degenerates to the full mean)."""
-    return ohem_cross_entropy(
-        logits, labels, threshold=2.0, min_kept=1, ignore_index=ignore_index
-    )
 
 
 def total_loss(
     main_logits: Tensor, aux_logits: list[Tensor], labels: np.ndarray, cfg: RunConfig
 ) -> tuple[Tensor, list[Tensor]]:
-    """main + aux_weight * sum(aux), every aux upsampled to label size
-    first; returns that total and the unweighted terms, main first."""
-    labels = np.asarray(labels)
-    if labels.ndim == 2:
-        labels = labels[None]
-    h, w = labels.shape[-2:]
+    """main + aux_weight * sum(aux), each head's OHEM term taken against the
+    full-size labels; returns that total and the unweighted terms, main
+    first."""
     ohem = (cfg.ohem_threshold, cfg.min_kept(), cfg.ignore_index)
-    main_term = ohem_cross_entropy(main_logits, labels, *ohem)
-    terms = [main_term]
-    loss = main_term
-    for aux in aux_logits:
-        if aux.shape[2] != h or aux.shape[3] != w:
-            aux = ops.bilinear_upsample(aux, h, w)
-        if cfg.aux_ohem:
-            term = ohem_cross_entropy(aux, labels, *ohem)
-        else:
-            term = cross_entropy(aux, labels, cfg.ignore_index)
-        terms.append(term)
+    terms = [ohem_cross_entropy(logits, labels, *ohem) for logits in (main_logits, *aux_logits)]
+    loss = terms[0]
+    for term in terms[1:]:
         loss = loss + cfg.aux_weight * term
     return loss, terms

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .backbone import STAGE_WIDTHS, build_backbone
 from .decoder import GlobalFeatureUpsample, SegHead
 from .errors import ConfigError, DataError
@@ -28,11 +29,12 @@ class S2FPN(Module):
     """Backbone taps f2..f5 feed a top-down attention pyramid seeded by a
     stride-2 depthwise projection of f5; a stride-1 projection of f5 meets
     the finest pyramid output in the decoder, and a 1x1 classifier maps the
-    result to full-resolution logits.
+    result to logits at stride 4.
 
     Training-mode forward returns (main_logits, [aux_2, aux_3, aux_4,
-    aux_5]) with the aux logits left at their pyramid resolutions;
-    eval-mode forward returns the main logits only.
+    aux_5]), every head at its own resolution (main at stride 4); the loss
+    resamples each to label size. Eval-mode forward returns the main logits
+    only, bilinearly upsampled to the input resolution.
     """
 
     def __init__(
@@ -84,8 +86,8 @@ class S2FPN(Module):
         pyramid_outs, aux_logits = self.apf(features, coarse_seed)
         adapted = self.fab(features.f5)
         fused = self.gfu(adapted, pyramid_outs[2])
-        main = self.head(fused, h, w)
+        main = self.head(fused)
         if self.training:
             return main, aux_logits
-        return main
+        return ops.bilinear_upsample(main, h, w)
 

@@ -485,14 +485,19 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     if bias is not None:
         out += bias.data.reshape(1, out_c, 1, 1)
 
+    # an input that wants no gradient (the image into the stem) gets none
+    x_needs_grad = x.requires_grad
+
     def backward(g):
         g_g = np.ascontiguousarray(g.reshape(n, out_c, oh * ow).transpose(1, 0, 2))
         g_g = g_g.reshape(groups, og, length)
         grad_w = np.matmul(g_g, columns().transpose(0, 2, 1)).reshape(weight.shape)
-        grad_cols = np.matmul(w_g.transpose(0, 2, 1), g_g)
-        grad_x = _col2im(
-            grad_cols.reshape(c * kh * kw, length), (n, c, h, w), kh, kw, stride, padding, oh, ow
-        )
+        grad_x = None
+        if x_needs_grad:
+            grad_cols = np.matmul(w_g.transpose(0, 2, 1), g_g)
+            grad_x = _col2im(
+                grad_cols.reshape(c * kh * kw, length), (n, c, h, w), kh, kw, stride, padding, oh, ow
+            )
         grad_b = None if bias is None else np.ascontiguousarray(g.sum(axis=(0, 2, 3)))
         return grad_x, grad_w, grad_b
 

@@ -153,6 +153,14 @@ def block_checks(scope: str, seed: int) -> dict[str, GradCheckResult]:
                 lambda: ohem_cross_entropy(logits, labels, threshold=0.7, min_kept=2),
                 {"logits": logits},
             )
+            # logits below label size: the op's recomputed resample adjoint
+            labels = rng.integers(0, 3, size=(1, 4, 6))
+            labels[0, 1, 2] = 255
+            coarse = _rand(rng, (1, 3, 2, 3), scale=2.0)
+            results["ohem_resampled"] = grad_check(
+                lambda: ohem_cross_entropy(coarse, labels, threshold=0.7, min_kept=3),
+                {"logits": coarse},
+            )
     return results
 
 

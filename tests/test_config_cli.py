@@ -32,14 +32,12 @@ class TestConfigParsing:
             lr = 1e-3
             ohem.threshold = 0.6
             scales = 1.0,2.0
-            aux_ohem = false
             """
         )
         assert cfg.backbone == "r34"
         assert cfg.base_lr == 1e-3
         assert cfg.ohem_threshold == 0.6
         assert cfg.scales == (1.0, 2.0)
-        assert cfg.aux_ohem is False
         assert cfg.weight_decay == 5e-6  # untouched default
 
     def test_unknown_key_names_key_and_line(self):

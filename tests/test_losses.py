@@ -6,8 +6,8 @@ import pytest
 from s2fpn import Parameter, Tensor, ops, tape, using_dtype
 from s2fpn.augment import augment, resize_image, resize_label, rng_for_sample
 from s2fpn.config import RunConfig
-from s2fpn.errors import DataError
-from s2fpn.losses import cross_entropy, ohem_cross_entropy, total_loss
+from s2fpn.errors import DataError, ShapeError
+from s2fpn.losses import ohem_cross_entropy, total_loss
 from s2fpn.optim import Adam, poly_lr
 
 from capture import ohem_selection
@@ -105,6 +105,32 @@ class TestOhem:
             assert set(np.flatnonzero(per_pixel > 0)) == selected
 
 
+    @pytest.mark.parametrize("ignored", [0.0, 0.9, 1.0])
+    def test_low_resolution_logits_equal_upsampling_first(self, ignored):
+        # the op's own resample is bilinear_upsample's arithmetic, forward
+        # and adjoint, down to the last bit
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 5, 16, 32)) * 2
+        labels = rng.integers(0, 5, size=(2, 64, 128))
+        labels[rng.random(labels.shape) < ignored] = 255
+
+        def run(upsample_first):
+            leaf = Parameter(x.copy(), dtype=np.float64)
+            logits = ops.bilinear_upsample(leaf, 64, 128) if upsample_first else leaf
+            loss = ohem_cross_entropy(logits, labels, min_kept=100)
+            tape().backward(loss)
+            return loss.item(), leaf.grad
+
+        (loss, grad), (ref_loss, ref_grad) = run(False), run(True)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6), (2, 1, 4, 6)])
+    def test_labels_must_be_batched_like_the_logits(self, shape):
+        logits = Tensor(np.zeros((2, 3, 2, 3)))
+        with pytest.raises(ShapeError, match="labels shape"):
+            ohem_cross_entropy(logits, np.zeros(shape, dtype=np.int64))
+
 class TestTotalLoss:
     def make_case(self, seed=0, k=3, h=4, w=6):
         rng = np.random.default_rng(seed)
@@ -138,17 +164,6 @@ class TestTotalLoss:
         combined, terms = total_loss(main, aux, labels, cfg)
         expected = terms[0].item() + 0.4 * sum(t.item() for t in terms[1:])
         assert abs(combined.item() - expected) < 1e-12
-
-    def test_plain_ce_flag(self):
-        main, aux, labels = self.make_case(seed=7)
-        cfg = RunConfig(
-            ohem_threshold=0.7, ohem_min_kept=1, ignore_index=255, aux_weight=0.4, aux_ohem=False
-        )
-        _, terms = total_loss(main, aux, labels, cfg)
-        plain = cross_entropy(
-            ops.bilinear_upsample(aux[1], 4, 6), labels, 255
-        )
-        assert abs(terms[2].item() - plain.item()) < 1e-12
 
 
 class TestPolySchedule:

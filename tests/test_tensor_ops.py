@@ -128,6 +128,27 @@ class TestConv2dBatch:
             res = grad_check(loss, wrt)
         assert res.max_rel_err < 1e-4, f"{case}: {res}"
 
+    def test_input_without_grad_gets_no_col2im(self, monkeypatch):
+        # the stem's input is the image: backward forms no grad_x for it,
+        # and the weight gradient is what it is when x wants one
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 3, 12, 16)).astype(np.float32)
+        weight = rng.standard_normal((4, 3, 7, 7)).astype(np.float32)
+
+        def weight_grad(x_wants_grad):
+            w = Parameter(weight.copy())
+            y = ops.conv2d(Tensor(x, requires_grad=x_wants_grad), w, stride=2, padding=3)
+            tape().backward(ops.tensor_sum(y * y))
+            return w.grad
+
+        expected = weight_grad(True)
+        calls = []
+        col2im = ops._col2im
+        monkeypatch.setattr(ops, "_col2im", lambda *a: calls.append(a) or col2im(*a))
+        got = weight_grad(False)
+        assert calls == []
+        np.testing.assert_array_equal(got, expected)
+
     def test_grad_forward_keeps_only_its_input(self):
         # backward re-forms the im2col columns from x, so the tape holds no
         # copy of them: beyond the output, less than the input stays alive
@@ -341,6 +362,16 @@ def test_ohem_keeps_less_than_its_logits():
     labels = rng.integers(0, 8, size=(2, 32, 32))
     held = _held_beyond_output(lambda v: ohem_cross_entropy(v, labels), logits)
     assert held < logits.data.nbytes, f"{held} bytes held beyond the loss"
+
+
+def test_ohem_on_low_resolution_logits_keeps_no_full_resolution_copy():
+    # the resample to label size is recomputed in backward, not kept
+    rng = np.random.default_rng(8)
+    logits = Tensor(rng.standard_normal((2, 19, 16, 32)).astype(np.float32), requires_grad=True)
+    labels = rng.integers(0, 19, size=(2, 64, 128))
+    full_bytes = 2 * 19 * 64 * 128 * logits.data.itemsize
+    held = _held_beyond_output(lambda v: ohem_cross_entropy(v, labels), logits)
+    assert held < full_bytes / 4, f"{held} bytes held beyond the loss"
 
 
 def test_ohem_keeps_no_wide_copy_of_uint8_labels():

@@ -383,8 +383,7 @@ def _im2col(data: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: i
     if padding:
         data = _pad(data, padding)
     # a read-only (C, kh, kw, N, oH, oW) window view that the reshape copies
-    # once (a 1x1 stride-1 unpadded one at N == 1 stays a view); oH and oW
-    # keep every window inside `data`
+    # once; oH and oW keep every window inside `data`
     sn, sc, sh, sw = data.strides
     windows = np.lib.stride_tricks.as_strided(
         data, (c, kh, kw, n, oh, ow), (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False
@@ -474,10 +473,14 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     x_data = x.data
     w_g = weight.data.reshape(groups, og, k)
 
+    pointwise = _pointwise(kh, kw, stride, padding)
+
     def columns():
+        if pointwise:  # one transposing copy; a view of the input at N == 1
+            return x_data.transpose(1, 0, 2, 3).reshape(groups, k, length)
         return _im2col(x_data, kh, kw, stride, padding, oh, ow).reshape(groups, k, length)
 
-    if _pointwise(kh, kw, stride, padding):
+    if pointwise:
         out = np.matmul(w_g, columns())  # (groups, og, N*L)
         out = np.ascontiguousarray(out.reshape(out_c, n, oh, ow).transpose(1, 0, 2, 3))
     else:
@@ -569,14 +572,15 @@ def batch_norm(
         xhat = x.data - mean
         xhat *= inv_std
         grad_gamma = (g * xhat).sum(axis=(0, 2, 3))
+        gx = g
         if mode == "train":
             # the batch mean and variance depend on x too
             count = n * h * w
             xhat *= grad_gamma.reshape(shape)
             xhat /= count
-            g = g - grad_beta.reshape(shape) / count
-            g -= xhat
-        return g * scale, grad_gamma, grad_beta
+            gx = g - grad_beta.reshape(shape) / count
+            gx -= xhat
+        return gx * scale, grad_gamma, grad_beta
 
     return _make(np.ascontiguousarray(out), (x, gamma, beta), backward, "batch_norm", 2 * x.size)
 

@@ -6,7 +6,13 @@ import warnings
 
 import numpy as np
 
+from .errors import CheckpointError
+from .serialize import pad4, read_count
 from .tensor import Parameter
+
+# elements per Adam chunk: 256 KiB of float32, so the six arrays one chunk
+# touches (g, m, v, theta and two scratch buffers) fit in a 2 MiB L2
+_CHUNK = 1 << 16
 
 
 def poly_lr(iteration: int, max_iter: int, base_lr: float, power: float = 0.9) -> float:
@@ -48,12 +54,13 @@ class Adam:
             p.zero_grad()
 
     def step(self, lr: float) -> None:
-        """One update written into two scratch buffers with `out=` ufuncs.
-
-        The buffers are sized to the largest parameter and shared by all of
-        them, so a step allocates twice that size and no per-parameter
-        temporaries. The operation order is fixed for bit-exact resume:
-        (m/bc1) / (sqrt(v/bc2) + eps), then + wd*theta, then * lr.
+        """One update, run over flat `_CHUNK`-element slices of each parameter
+        with `out=` ufuncs into two chunk-sized scratch buffers, so each
+        parameter-sized array leaves memory once per step and a step
+        allocates no parameter-sized temporaries. Every op is elementwise,
+        so the chunks change no result. The operation order is fixed for
+        bit-exact resume: (m/bc1) / (sqrt(v/bc2) + eps), then + wd*theta,
+        then * lr. A parameter whose `.grad` is None is skipped.
         """
         self.step_count += 1
         t = self.step_count
@@ -61,30 +68,31 @@ class Adam:
         bc2 = 1.0 - self.beta2**t
         scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
             if m.dtype not in scratch:
-                size = max(x.size for x in self._m)
-                scratch[m.dtype] = (np.empty(size, m.dtype), np.empty(size, m.dtype))
-            a, b = (buf[: m.size].reshape(m.shape) for buf in scratch[m.dtype])
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m *= self.beta1
-            m += a
-            np.square(g, out=a)
-            a *= 1.0 - self.beta2
-            v *= self.beta2
-            v += a
-            np.divide(v, bc2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            np.divide(m, bc1, out=b)
-            b /= a
-            if self.weight_decay:
-                np.multiply(p.data, self.weight_decay, out=a)
-                b += a
-            b *= lr
-            p.data -= b
+                scratch[m.dtype] = (np.empty(_CHUNK, m.dtype), np.empty(_CHUNK, m.dtype))
+            flat = [x.reshape(-1) for x in (p.grad, m, v, p.data)]
+            for s in range(0, m.size, _CHUNK):
+                g, m_s, v_s, theta = (x[s : s + _CHUNK] for x in flat)
+                a, b = (buf[: g.size] for buf in scratch[m.dtype])
+                np.multiply(g, 1.0 - self.beta1, out=a)
+                m_s *= self.beta1
+                m_s += a
+                np.square(g, out=a)
+                a *= 1.0 - self.beta2
+                v_s *= self.beta2
+                v_s += a
+                np.divide(v_s, bc2, out=a)
+                np.sqrt(a, out=a)
+                a += self.eps
+                np.divide(m_s, bc1, out=b)
+                b /= a
+                if self.weight_decay:
+                    np.multiply(theta, self.weight_decay, out=a)
+                    b += a
+                b *= lr
+                theta -= b
 
     def state_entries(self):
         """Named arrays for checkpointing alongside the model."""
@@ -95,9 +103,22 @@ class Adam:
             yield f"optim.{key}.v", self._v[i]
 
     def load_state(self, entries: dict[str, np.ndarray]) -> None:
-        """Restore every entry `state_entries` names; all must be present."""
-        self.step_count = int(np.asarray(entries["optim.step"]).reshape(-1)[0])
+        """Restore every entry `state_entries` names; all must be present.
+        A moment whose shape is not its parameter's, or a step count that is
+        not a non-negative integer, is refused by name before anything is
+        copied."""
+        step_count = read_count(entries, "optim.step")
+        pending = []
         for i, p in enumerate(self.params):
             key = p.name or f"param{i}"
-            self._m[i][...] = np.asarray(entries[f"optim.{key}.m"]).reshape(self._m[i].shape)
-            self._v[i][...] = np.asarray(entries[f"optim.{key}.v"]).reshape(self._v[i].shape)
+            for name, target in ((f"optim.{key}.m", self._m[i]), (f"optim.{key}.v", self._v[i])):
+                arr = np.asarray(entries[name])
+                if arr.ndim > 4 or pad4(arr.shape) != pad4(target.shape):
+                    raise CheckpointError(
+                        f"cannot load {name!r}: checkpoint shape {tuple(arr.shape)} "
+                        f"vs parameter shape {tuple(target.shape)}"
+                    )
+                pending.append((target, arr))
+        self.step_count = step_count
+        for target, arr in pending:
+            target[...] = arr.reshape(target.shape)

@@ -144,6 +144,16 @@ def require_entries(path, entries: dict[str, np.ndarray], names) -> None:
         raise CheckpointError(f"{path} lacks {len(missing)} entries: {', '.join(missing)}")
 
 
+def read_count(entries: dict[str, np.ndarray], name: str) -> int:
+    """The counter entry `name` as an int; refused unless it holds one
+    finite, non-negative, whole number."""
+    values = np.asarray(entries[name], dtype=np.float64).reshape(-1)
+    if values.size != 1 or not (np.isfinite(values[0]) and values[0] >= 0 and values[0] % 1 == 0):
+        got = values.tolist() if values.size <= 4 else f"{values.size} values"
+        raise CheckpointError(f"entry {name!r} must hold one non-negative integer, got {got}")
+    return int(values[0])
+
+
 def load_model(path, model) -> tuple[list[str], list[str]]:
     """Load every parameter and buffer of `model` from the file at `path`.
 

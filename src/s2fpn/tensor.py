@@ -88,15 +88,18 @@ class _Record:
         self.grad = None
 
 
-def _send(source, grad: np.ndarray) -> None:
-    """Add `grad` to a leaf's `.grad` or to a live record's output gradient;
-    a record that was consumed or reset takes nothing."""
+def _send(source, grad: np.ndarray, given: np.ndarray) -> None:
+    """Add `grad` out of place to a leaf's `.grad` or to a live record's
+    output gradient; a record that was consumed or reset takes nothing. A
+    leaf's first gradient becomes its `.grad`, copied when it may share
+    memory with `given` (the gradient its closure was handed), so no leaf
+    shares a buffer with another leaf or with a live record."""
     if isinstance(source, Tensor):
-        if source.grad is None:
-            source.grad = np.zeros_like(source.data)
-        source.grad += grad
-    elif source is not None and source.backward is not None:
-        source.grad = grad if source.grad is None else source.grad + grad
+        if source.grad is None and np.may_share_memory(grad, given):
+            grad = grad.copy()
+    elif source is None or source.backward is None:
+        return
+    source.grad = grad if source.grad is None else source.grad + grad
 
 
 class Tape:
@@ -123,7 +126,8 @@ class Tape:
         self._records.clear()
 
     def backward(self, loss: "Tensor") -> None:
-        """Accumulate d(loss)/d(leaf) into `.grad` of every reachable leaf.
+        """Add d(loss)/d(leaf) into `.grad` of every reachable leaf (a leaf
+        whose `.grad` is None takes its gradient as it comes).
 
         Consumes the tape: each record is dropped once its backward has run,
         so its activations are freed as soon as nothing else holds them.
@@ -132,7 +136,8 @@ class Tape:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
             )
-        _send(loss._record or (loss if loss.requires_grad else None), np.ones_like(loss.data))
+        seed = np.ones_like(loss.data)
+        _send(loss._record or (loss if loss.requires_grad else None), seed, seed)
         while self._records:
             rec = self._records.pop()
             backward, rec.backward = rec.backward, None
@@ -141,7 +146,7 @@ class Tape:
                 continue
             for source, grad in zip(rec.sources, backward(g)):
                 if grad is not None:
-                    _send(source, grad)
+                    _send(source, grad, g)
 
 
 def tape() -> Tape:
@@ -195,8 +200,8 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        """Drop the gradient; the first one backward sends becomes `.grad`."""
+        self.grad = None
 
     def backward(self) -> None:
         tape().backward(self)

@@ -15,7 +15,7 @@ from .losses import total_loss
 from .metrics import ConfusionMatrix
 from .model import S2FPN
 from .optim import Adam, poly_lr
-from .serialize import read_checkpoint, require_entries, write_checkpoint
+from .serialize import read_checkpoint, read_count, require_entries, write_checkpoint
 from .tensor import Tensor, no_grad, tape
 
 
@@ -107,14 +107,16 @@ class Trainer:
 
     def load_checkpoint(self, path) -> int:
         """Restore the full state `save_checkpoint` wrote; a file that lacks
-        any of its entries is refused before anything is loaded."""
+        any of its entries, or whose optimizer moments or counters are
+        malformed, is refused before anything is loaded."""
         entries = read_checkpoint(path)
         require_entries(path, entries, self._state_entries(0))
-        self.model.load_state_dict(entries)
+        start_iter = read_count(entries, "trainer.iter")
         self.optimizer.load_state(entries)
+        self.model.load_state_dict(entries)
         self.best_miou = float(entries["trainer.best_miou"].reshape(-1)[0])
-        self.start_iter = int(entries["trainer.iter"].reshape(-1)[0])
-        return self.start_iter
+        self.start_iter = start_iter
+        return start_iter
 
     # -- the loop ----------------------------------------------------------
 

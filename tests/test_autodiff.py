@@ -5,9 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
-from s2fpn import Parameter, Tensor, ops, tape, using_dtype
+from s2fpn import Parameter, Tensor, no_grad, ops, tape, using_dtype
+from s2fpn.attention import StripAttention
 from s2fpn.errors import ShapeError
 from s2fpn.nn import ConvBNReLU
+from s2fpn.optim import Adam
 from s2fpn.verification import kernel_checks
 
 from capture import capture
@@ -83,6 +85,44 @@ def test_grad_accumulates_across_shared_use():
         loss = ops.tensor_sum(w * x + w * x)
         tape().backward(loss)
         np.testing.assert_allclose(w.grad, 2 * x.data)
+
+
+def test_zero_grad_drops_and_a_shared_parameter_gets_the_sum():
+    # ssam.shared_conv runs on both strips, so its weight gets two gradients
+    with using_dtype(np.float64):
+        rng = np.random.default_rng(4)
+        att = StripAttention(4, rng=rng)
+        att.alpha.data[...] = 0.5
+        x = Tensor(rng.standard_normal((2, 4, 5, 3)))
+        r = Tensor(rng.standard_normal((2, 4, 5, 3)))
+        opt = Adam(att.parameters())
+        opt.zero_grad()
+        assert all(p.grad is None for p in opt.params)
+        tape().backward(ops.tensor_sum(att(x) * r))
+        w = att.shared_conv.weight
+        numeric = np.empty(w.size)
+        flat = w.data.reshape(-1)
+        with no_grad():
+            for i in range(w.size):
+                flat[i] += 1e-6
+                hi = ops.tensor_sum(att(x) * r).item()
+                flat[i] -= 2e-6
+                lo = ops.tensor_sum(att(x) * r).item()
+                flat[i] += 1e-6
+                numeric[i] = (hi - lo) / 2e-6
+        np.testing.assert_allclose(w.grad.reshape(-1), numeric, rtol=1e-6, atol=1e-9)
+
+
+def test_leaves_own_their_gradients():
+    # add hands the same array to both inputs; each leaf must get its own
+    p = Parameter(np.ones((2, 3)))
+    q = Parameter(np.ones((2, 3)))
+    p.zero_grad()
+    q.zero_grad()
+    tape().backward(ops.tensor_sum(p + q))
+    assert not np.shares_memory(p.grad, q.grad)
+    p.grad *= 2.0
+    np.testing.assert_array_equal(q.grad, np.ones((2, 3)))
 
 
 def test_tape_reset_isolates_iterations():

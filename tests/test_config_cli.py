@@ -191,6 +191,69 @@ class TestTrainerRoundTrip:
         assert moment in capsys.readouterr().err
 
 
+def _moment(entries, transposable=False):
+    """The name of a first-moment entry; with `transposable`, one whose
+    transpose has another shape."""
+    return next(
+        name
+        for name, arr in entries.items()
+        if name.endswith(".m") and arr.size > 1 and (not transposable or arr.shape[0] != arr.shape[1])
+    )
+
+
+def _short_moment(entries):
+    name = _moment(entries)
+    entries[name] = entries[name].reshape(-1)[:-1].copy()
+    return name
+
+
+def _transposed_moment(entries):
+    name = _moment(entries, transposable=True)
+    entries[name] = entries[name].transpose(1, 0, 2, 3).copy()
+    return name
+
+
+def _set(name, value):
+    def corrupt(entries):
+        entries[name] = np.asarray([value])
+        return name
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _short_moment,
+        _transposed_moment,
+        _set("optim.step", np.nan),
+        _set("trainer.iter", np.nan),
+        _set("trainer.iter", -5.0),
+    ],
+    ids=["short-moment", "transposed-moment", "nan-step", "nan-iter", "negative-iter"],
+)
+def test_resume_refuses_malformed_optimizer_state(toy_setup, tmp_path, capsys, corrupt):
+    base, root, config = toy_setup
+    entries = read_checkpoint(base / "run" / "final.ckpt")
+    name = corrupt(entries)
+    bad = tmp_path / "bad.ckpt"
+    write_checkpoint(bad, entries)
+
+    cfg = parse_config(config)
+    cfg.out_dir = str(tmp_path / "run")
+    resumed = Trainer(cfg, SegDataset(root))
+    before = [p.data.copy() for p in resumed.model.parameters()]
+    with pytest.raises(CheckpointError, match=re.escape(name)):
+        resumed.load_checkpoint(bad)
+    assert all(np.array_equal(p.data, b) for p, b in zip(resumed.model.parameters(), before))
+    assert resumed.optimizer.step_count == 0 and resumed.start_iter == 0
+    assert not any(m.any() for m in resumed.optimizer._m)
+
+    assert main(["--config", str(config), "train", "--resume", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def _poison_inputs(monkeypatch):
     """Make every training batch NaN, so the loss is NaN from step 0."""
     real = Trainer.batch_for

@@ -60,3 +60,77 @@ def test_detects_a_definition_named_nowhere_else():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_definition_only_tests_reach(path):
     assert unreached_definitions(path.read_text(), PRODUCT) == []
+
+
+# numpy calls that write into their first argument
+_WRITES_FIRST_ARG = {"copyto", "put", "put_along_axis", "place", "putmask", "at"}
+
+
+def gradient_writes(source: str) -> list[str]:
+    """Lines where a `backward` closure writes into the gradient it is
+    handed (its first argument): an augmented assignment to it, an
+    assignment into a subscript or attribute of it, `out=` it, or a numpy
+    call that writes its first argument. Leaves take the arrays backward
+    sends them without a copy, so such a write could reach a leaf's `.grad`
+    or a gradient another record still holds."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "backward" and fn.args.args):
+            continue
+        g = fn.args.args[0].arg
+
+        def into_g(node) -> bool:
+            while isinstance(node, (ast.Subscript, ast.Attribute)):
+                node = node.value
+            return isinstance(node, ast.Name) and node.id == g
+
+        def targets(node):
+            if isinstance(node, (ast.Tuple, ast.List)):
+                for elt in node.elts:
+                    yield from targets(elt)
+            else:
+                yield node
+
+        for node in ast.walk(fn):
+            if isinstance(node, ast.AugAssign):
+                hit = into_g(node.target)
+            elif isinstance(node, ast.Assign):
+                hit = any(
+                    isinstance(t, (ast.Subscript, ast.Attribute)) and into_g(t)
+                    for target in node.targets
+                    for t in targets(target)
+                )
+            elif isinstance(node, ast.Call):
+                outs = [kw.value for kw in node.keywords if kw.arg == "out"]
+                if isinstance(node.func, ast.Attribute) and node.func.attr in _WRITES_FIRST_ARG:
+                    outs += node.args[:1]
+                hit = any(into_g(t) for out in outs for t in targets(out))
+            else:
+                hit = False
+            if hit:
+                found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detects_a_write_into_the_incoming_gradient():
+    source = (
+        "def op(x):\n"
+        "    def backward(g):\n"
+        "        h = g * 2\n"  # line 3: a new array
+        "        h += 1\n"
+        "        g *= 2\n"  # line 5
+        "        g[0] = 1\n"  # line 6
+        "        a, g[1:] = h, 0\n"  # line 7
+        "        np.multiply(h, 2, out=g)\n"  # line 8
+        "        np.put_along_axis(g, idx, h, axis=1)\n"  # line 9
+        "        g = g - h\n"  # line 10: rebinds, writes nothing
+        "        g -= h\n"  # line 11: still the name the closure was handed
+        "        return (h,)\n"
+        "    return backward\n"
+    )
+    assert gradient_writes(source) == ["line 5", "line 6", "line 7", "line 8", "line 9", "line 11"]
+
+
+@pytest.mark.parametrize("path", [PACKAGE / "ops.py", PACKAGE / "losses.py"], ids=lambda p: p.name)
+def test_no_backward_writes_into_its_gradient(path):
+    assert gradient_writes(path.read_text()) == []

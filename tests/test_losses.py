@@ -1,5 +1,8 @@
 """Hard-pixel mining, combined loss, schedule, optimizer, augmentation."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from s2fpn.augment import augment, resize_image, resize_label, rng_for_sample
 from s2fpn.config import RunConfig
 from s2fpn.errors import DataError, ShapeError
 from s2fpn.losses import ohem_cross_entropy, total_loss
-from s2fpn.optim import Adam, poly_lr
+from s2fpn.optim import _CHUNK, Adam, poly_lr
 
 from capture import ohem_selection
 from oracles import bilinear_ref, ohem_select_ref
@@ -219,24 +222,41 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
     def test_steps_bit_equal_to_update_written_out(self):
-        b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.05
-        rng = np.random.default_rng(11)
-        start = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        grads = [rng.standard_normal(start.shape).astype(np.float32) for _ in range(3)]
-        theta = Parameter(start.copy())
-        opt = Adam([theta], beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
-        ref, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
-        for step, (g, lr) in enumerate(zip(grads, (1e-2, 5e-3, 2e-3)), start=1):
-            theta.grad = g.copy()
-            opt.step(lr)
-            m = m * b1 + (1.0 - b1) * g
-            v = v * b2 + (1.0 - b2) * np.square(g)
-            update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
-            update = update + wd * ref
-            ref = ref - lr * update
-            assert theta.data.dtype == ref.dtype == np.float32
-            assert np.array_equal(theta.data, ref), f"step {step}"
-        assert np.array_equal(opt._m[0], m) and np.array_equal(opt._v[0], v)
+        # float32 and float64, with and without decay; a parameter that
+        # spans two whole chunks and a partial one, and a 0-d parameter
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        shapes = ((4, 3, 3, 3), (2 * _CHUNK + 3,), ())
+        for dtype, wd, shape in itertools.product((np.float32, np.float64), (0.0, 0.05), shapes):
+            rng = np.random.default_rng(11)
+            start = np.asarray(rng.standard_normal(shape), dtype=dtype)
+            grads = [np.asarray(rng.standard_normal(shape), dtype=dtype) for _ in range(3)]
+            theta = Parameter(start.copy())
+            opt = Adam([theta], beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+            ref, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+            for step, (g, lr) in enumerate(zip(grads, (1e-2, 5e-3, 2e-3)), start=1):
+                theta.grad = g.copy()
+                opt.step(lr)
+                m = m * b1 + (1.0 - b1) * g
+                v = v * b2 + (1.0 - b2) * np.square(g)
+                update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+                update = update + wd * ref
+                ref = ref - lr * update
+                case = f"{np.dtype(dtype).name} wd={wd} shape={shape} step {step}"
+                assert theta.data.dtype == ref.dtype == dtype, case
+                assert np.array_equal(theta.data, ref), case
+            assert np.array_equal(opt._m[0], m) and np.array_equal(opt._v[0], v), case
+
+    def test_step_allocates_no_parameter_sized_scratch(self):
+        theta = Parameter(np.zeros(1 << 22, dtype=np.float32))  # 16 MiB
+        theta.grad = np.ones_like(theta.data)
+        opt = Adam([theta], weight_decay=0.05)
+        tracemalloc.start()
+        try:
+            opt.step(1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"Adam.step peaked at {peak / 2**20:.1f} MiB"
 
     def test_decoupled_weight_decay_shrinks_params(self):
         with using_dtype(np.float64):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,34 +38,28 @@ def _read_header(payload: bytes, magic: bytes, path) -> tuple[int, int, int]:
     return width, height, pos
 
 
-def read_ppm(path) -> np.ndarray:
-    """(H, W, 3) uint8 from a binary P6 file."""
+def _read_image(path, magic: bytes, channels: tuple[int, ...]) -> np.ndarray:
     path = Path(path)
     try:
         payload = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read image {path}: {exc}") from exc
-    width, height, offset = _read_header(payload, b"P6", path)
-    needed = width * height * 3
+    width, height, offset = _read_header(payload, magic, path)
+    shape = (height, width, *channels)
+    needed = math.prod(shape)
     if len(payload) - offset < needed:
         raise DataError(f"{path}: truncated pixel data")
-    data = np.frombuffer(payload, dtype=np.uint8, count=needed, offset=offset)
-    return data.reshape(height, width, 3).copy()
+    return np.frombuffer(payload, dtype=np.uint8, count=needed, offset=offset).reshape(shape).copy()
+
+
+def read_ppm(path) -> np.ndarray:
+    """(H, W, 3) uint8 from a binary P6 file."""
+    return _read_image(path, b"P6", (3,))
 
 
 def read_pgm(path) -> np.ndarray:
     """(H, W) uint8 from a binary P5 file."""
-    path = Path(path)
-    try:
-        payload = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read image {path}: {exc}") from exc
-    width, height, offset = _read_header(payload, b"P5", path)
-    needed = width * height
-    if len(payload) - offset < needed:
-        raise DataError(f"{path}: truncated pixel data")
-    data = np.frombuffer(payload, dtype=np.uint8, count=needed, offset=offset)
-    return data.reshape(height, width).copy()
+    return _read_image(path, b"P5", ())
 
 
 def write_ppm(path, image: np.ndarray) -> None:

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import ops
 from .counting import current_counter
-from .errors import ConfigError, ShapeError
-from .serialize import pad4
+from .errors import CheckpointError, ConfigError
+from .serialize import restore
 from .tensor import Parameter, Tensor, default_dtype
 
 
@@ -75,31 +75,19 @@ class Module:
         return {name: t.data for name, t in chain(self.named_parameters(), self.named_buffers())}
 
     def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = False):
-        """Copy name-matched arrays into parameters/buffers.
+        """Copy name-matched arrays into parameters/buffers under
+        `serialize.restore`'s rule; names on one side only are allowed
+        unless `strict`. Any refusal comes before anything is copied.
 
         Returns (loaded_names, missing_in_state, unexpected_in_state).
-        Shape mismatches always raise, naming the offending tensor.
         """
-        own: dict[str, Tensor] = dict(chain(self.named_parameters(), self.named_buffers()))
+        own = self.state_dict()
         missing = [name for name in own if name not in state]
-        loaded, unexpected = [], []
-        for name, arr in state.items():
-            target = own.get(name)
-            if target is None:
-                unexpected.append(name)
-                continue
-            arr = np.asarray(arr)
-            if arr.ndim > 4 or pad4(arr.shape) != pad4(target.shape):
-                raise ShapeError(
-                    f"cannot load {name!r}: checkpoint shape {tuple(arr.shape)} "
-                    f"vs model shape {tuple(target.shape)}"
-                )
-            target.data[...] = arr.reshape(target.shape).astype(target.dtype)
-            loaded.append(name)
+        unexpected = [name for name in state if name not in own]
         if strict and (missing or unexpected):
-            raise ShapeError(
-                f"state mismatch: missing={missing} unexpected={unexpected}"
-            )
+            raise CheckpointError(f"state mismatch: missing={missing} unexpected={unexpected}")
+        loaded = [name for name in state if name in own]
+        restore("state", state, {name: own[name] for name in loaded})
         return loaded, missing, unexpected
 
     def train(self, flag: bool = True):

@@ -6,8 +6,7 @@ import warnings
 
 import numpy as np
 
-from .errors import CheckpointError
-from .serialize import pad4, read_count
+from .serialize import restore
 from .tensor import Parameter
 
 # elements per Adam chunk: 256 KiB of float32, so the six arrays one chunk
@@ -94,31 +93,20 @@ class Adam:
                 b *= lr
                 theta -= b
 
-    def state_entries(self):
-        """Named arrays for checkpointing alongside the model."""
-        yield "optim.step", np.asarray([float(self.step_count)], dtype=np.float64)
+    def moments(self):
+        """(checkpoint name, array) of every first and second moment."""
         for i, p in enumerate(self.params):
             key = p.name or f"param{i}"
             yield f"optim.{key}.m", self._m[i]
             yield f"optim.{key}.v", self._v[i]
 
+    def state_entries(self):
+        """Named arrays for checkpointing alongside the model."""
+        yield "optim.step", np.asarray([float(self.step_count)], dtype=np.float64)
+        yield from self.moments()
+
     def load_state(self, entries: dict[str, np.ndarray]) -> None:
-        """Restore every entry `state_entries` names; all must be present.
-        A moment whose shape is not its parameter's, or a step count that is
-        not a non-negative integer, is refused by name before anything is
-        copied."""
-        step_count = read_count(entries, "optim.step")
-        pending = []
-        for i, p in enumerate(self.params):
-            key = p.name or f"param{i}"
-            for name, target in ((f"optim.{key}.m", self._m[i]), (f"optim.{key}.v", self._v[i])):
-                arr = np.asarray(entries[name])
-                if arr.ndim > 4 or pad4(arr.shape) != pad4(target.shape):
-                    raise CheckpointError(
-                        f"cannot load {name!r}: checkpoint shape {tuple(arr.shape)} "
-                        f"vs parameter shape {tuple(target.shape)}"
-                    )
-                pending.append((target, arr))
-        self.step_count = step_count
-        for target, arr in pending:
-            target[...] = arr.reshape(target.shape)
+        """Restore every entry `state_entries` names under `serialize.restore`'s
+        rule: a refused state changes nothing."""
+        counts = restore("optimizer state", entries, dict(self.moments()), {"optim.step": np.inf})
+        self.step_count = counts["optim.step"]

@@ -137,31 +137,48 @@ def _read_entries(fh, path: Path, file_size: int) -> dict[str, np.ndarray]:
     return out
 
 
-def require_entries(path, entries: dict[str, np.ndarray], names) -> None:
-    """Refuse a checkpoint that lacks any of `names`, naming every one."""
-    missing = [name for name in names if name not in entries]
-    if missing:
-        raise CheckpointError(f"{path} lacks {len(missing)} entries: {', '.join(missing)}")
-
-
-def read_count(entries: dict[str, np.ndarray], name: str) -> int:
-    """The counter entry `name` as an int; refused unless it holds one
-    finite, non-negative, whole number."""
+def _read_number(entries, name: str, low, high, whole: bool):
+    """The one number entry `name` holds; refused unless it is in
+    [low, high], and whole if `whole`."""
     values = np.asarray(entries[name], dtype=np.float64).reshape(-1)
-    if values.size != 1 or not (np.isfinite(values[0]) and values[0] >= 0 and values[0] % 1 == 0):
+    value = float(values[0]) if values.size == 1 else math.nan
+    if not (low <= value <= high and (value.is_integer() or not whole)):
         got = values.tolist() if values.size <= 4 else f"{values.size} values"
-        raise CheckpointError(f"entry {name!r} must hold one non-negative integer, got {got}")
-    return int(values[0])
+        kind = "whole number" if whole else "number"
+        raise CheckpointError(f"entry {name!r} must hold one {kind} in [{low}, {high}], got {got}")
+    return int(value) if whole else value
+
+
+def restore(source, entries, targets: dict[str, np.ndarray], counts=(), numbers=()) -> dict:
+    """Copy each entry into its target (name -> live array) in place, but
+    only once every check has passed, in this order: no name of `targets`,
+    `counts` or `numbers` is missing (all missing ones are named); each
+    count (name -> largest allowed value) is one whole number in [0, that];
+    each number (name -> (low, high)) is one number in that range; each
+    entry's 4-d shape is its target's. Each refusal is a `CheckpointError`
+    naming the entry. Returns the counts and numbers by name."""
+    counts, numbers = dict(counts), dict(numbers)
+    missing = [name for name in (*targets, *counts, *numbers) if name not in entries]
+    if missing:
+        raise CheckpointError(f"{source} lacks {len(missing)} entries: {', '.join(missing)}")
+    values = {name: _read_number(entries, name, 0, most, True) for name, most in counts.items()}
+    values.update((name, _read_number(entries, name, *span, False)) for name, span in numbers.items())
+    for name, target in targets.items():
+        shape = np.shape(entries[name])
+        if len(shape) > 4 or pad4(shape) != pad4(target.shape):
+            raise CheckpointError(
+                f"cannot load {name!r} from {source}: shape {shape} vs target shape {target.shape}"
+            )
+    for name, target in targets.items():
+        target[...] = np.reshape(entries[name], target.shape)  # casts to the target's dtype
+    return values
 
 
 def load_model(path, model) -> tuple[list[str], list[str]]:
-    """Load every parameter and buffer of `model` from the file at `path`.
-
-    A file without one of them is refused before anything is copied;
-    extra entries (e.g. optimizer state saved alongside) are allowed.
-    Returns the (loaded, unexpected) name lists.
-    """
+    """Restore every parameter and buffer of `model` from the file at
+    `path`; extra entries (e.g. optimizer state) are allowed. Returns the
+    (loaded, unexpected) name lists."""
     state = read_checkpoint(path)
-    require_entries(path, state, model.state_dict())
-    loaded, _, unexpected = model.load_state_dict(state)
-    return loaded, unexpected
+    targets = model.state_dict()
+    restore(path, state, targets)
+    return list(targets), [name for name in state if name not in targets]

@@ -15,7 +15,7 @@ from .losses import total_loss
 from .metrics import ConfusionMatrix
 from .model import S2FPN
 from .optim import Adam, poly_lr
-from .serialize import read_checkpoint, read_count, require_entries, write_checkpoint
+from .serialize import read_checkpoint, restore, write_checkpoint
 from .tensor import Tensor, no_grad, tape
 
 
@@ -106,17 +106,19 @@ class Trainer:
         write_checkpoint(path, self._state_entries(iteration))
 
     def load_checkpoint(self, path) -> int:
-        """Restore the full state `save_checkpoint` wrote; a file that lacks
-        any of its entries, or whose optimizer moments or counters are
-        malformed, is refused before anything is loaded."""
-        entries = read_checkpoint(path)
-        require_entries(path, entries, self._state_entries(0))
-        start_iter = read_count(entries, "trainer.iter")
-        self.optimizer.load_state(entries)
-        self.model.load_state_dict(entries)
-        self.best_miou = float(entries["trainer.best_miou"].reshape(-1)[0])
-        self.start_iter = start_iter
-        return start_iter
+        """Restore the full state `save_checkpoint` wrote under
+        `serialize.restore`'s rule, which also bounds `trainer.iter` by this
+        run's max_iter: a refused file changes nothing."""
+        targets = {**self.model.state_dict(), **dict(self.optimizer.moments())}
+        values = restore(
+            path, read_checkpoint(path), targets,
+            counts={"trainer.iter": self.max_iter, "optim.step": math.inf},
+            numbers={"trainer.best_miou": (-1.0, 1.0)},
+        )
+        self.optimizer.step_count = values["optim.step"]
+        self.best_miou = values["trainer.best_miou"]
+        self.start_iter = values["trainer.iter"]
+        return self.start_iter
 
     # -- the loop ----------------------------------------------------------
 

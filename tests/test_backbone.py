@@ -140,5 +140,5 @@ class TestImportWeights:
         ).copy()
         path = tmp_path / "bad.ckpt"
         write_checkpoint(path, entries)
-        with pytest.raises(ShapeError, match="layer2.0.down_conv.weight"):
+        with pytest.raises(CheckpointError, match="layer2.0.down_conv.weight"):
             load_model(path, build_backbone("r18"))

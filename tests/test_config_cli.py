@@ -213,45 +213,66 @@ def _transposed_moment(entries):
     return name
 
 
-def _set(name, value):
+def _transposed_model_entry(entries):
+    name = "apf.2.cam.excite_conv.weight"
+    entries[name] = entries[name].transpose(1, 0, 2, 3).copy()
+    return name
+
+
+def _set(name, *values):
     def corrupt(entries):
-        entries[name] = np.asarray([value])
+        entries[name] = np.asarray(values, dtype=np.float64)
         return name
 
     return corrupt
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, epochs",
     [
-        _short_moment,
-        _transposed_moment,
-        _set("optim.step", np.nan),
-        _set("trainer.iter", np.nan),
-        _set("trainer.iter", -5.0),
+        (_short_moment, 2),
+        (_transposed_moment, 2),
+        (_set("optim.step", np.nan), 2),
+        (_set("trainer.iter", np.nan), 2),
+        (_set("trainer.iter", -5.0), 2),
+        (_transposed_model_entry, 2),
+        (_set("trainer.best_miou"), 2),
+        (_set("trainer.best_miou", 0.5, 0.25), 2),
+        (_set("trainer.best_miou", np.nan), 2),
+        # the toy run's final.ckpt holds trainer.iter = 4, past a 1-epoch run's max_iter of 2
+        (lambda entries: "trainer.iter", 1),
     ],
-    ids=["short-moment", "transposed-moment", "nan-step", "nan-iter", "negative-iter"],
+    ids=[
+        "short-moment", "transposed-moment", "nan-step", "nan-iter", "negative-iter",
+        "transposed-model-entry", "empty-best-miou", "two-best-miou", "nan-best-miou",
+        "iter-past-max-iter",
+    ],
 )
-def test_resume_refuses_malformed_optimizer_state(toy_setup, tmp_path, capsys, corrupt):
+def test_resume_refuses_malformed_optimizer_state(toy_setup, tmp_path, capsys, corrupt, epochs):
     base, root, config = toy_setup
     entries = read_checkpoint(base / "run" / "final.ckpt")
     name = corrupt(entries)
     bad = tmp_path / "bad.ckpt"
     write_checkpoint(bad, entries)
+    run_config = tmp_path / "run.cfg"
+    run_config.write_text(config.read_text().replace(str(base / "run"), str(tmp_path / "run"))
+                          .replace("epochs = 2", f"epochs = {epochs}"))
 
-    cfg = parse_config(config)
-    cfg.out_dir = str(tmp_path / "run")
-    resumed = Trainer(cfg, SegDataset(root))
-    before = [p.data.copy() for p in resumed.model.parameters()]
-    with pytest.raises(CheckpointError, match=re.escape(name)):
+    resumed = Trainer(parse_config(run_config), SegDataset(root))
+    before = {k: v.copy() for k, v in resumed.model.state_dict().items()}
+    with pytest.raises(CheckpointError, match=re.escape(name)) as err:
         resumed.load_checkpoint(bad)
-    assert all(np.array_equal(p.data, b) for p, b in zip(resumed.model.parameters(), before))
+    if epochs == 1:
+        assert f"[0, {resumed.max_iter}]" in str(err.value)
+    assert all(np.array_equal(v, before[k]) for k, v in resumed.model.state_dict().items())
     assert resumed.optimizer.step_count == 0 and resumed.start_iter == 0
+    assert resumed.best_miou == -1.0
     assert not any(m.any() for m in resumed.optimizer._m)
 
-    assert main(["--config", str(config), "train", "--resume", str(bad)]) == 2
+    assert main(["--config", str(run_config), "train", "--resume", str(bad)]) == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "final.ckpt").exists()
 
 
 def _poison_inputs(monkeypatch):
@@ -418,6 +439,22 @@ class TestCliCommands:
         assert code == 2
         assert "head.classifier.weight" in capsys.readouterr().err
         assert not (tmp_path / "iou.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_wrong_shaped_model_entry_is_checkpoint_error(self, toy_setup, tmp_path, capsys, command):
+        base, root, config = toy_setup
+        entries = read_checkpoint(base / "run" / "final.ckpt")
+        name = _transposed_model_entry(entries)
+        bad = str(tmp_path / "bad.ckpt")
+        write_checkpoint(bad, entries)
+        argv = {"eval": ["eval", bad, "--split", "val", "--csv", str(tmp_path / "iou.csv")],
+                "infer": ["infer", bad, str(root / "images" / "val_001.ppm"), str(tmp_path / "pred")]}
+        assert main(["--config", str(config), *argv[command]]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("data error: ") and name in err
+        assert "(1, 4, 1, 1)" in err and "(4, 1, 1, 1)" in err
+        assert "Traceback" not in out + err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.ckpt"]
 
     @pytest.mark.parametrize(
         "config, palette, argv, code, message",

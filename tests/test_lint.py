@@ -62,6 +62,36 @@ def test_no_definition_only_tests_reach(path):
     assert unreached_definitions(path.read_text(), PRODUCT) == []
 
 
+def pad4_calls(source: str) -> list[str]:
+    """Lines that call `pad4`, by name or as an attribute. The checkpoint
+    shape rule has one owner, `serialize.restore`."""
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pad4"
+    ]
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_detects_a_pad4_call():
+    source = (
+        "from .serialize import pad4\n"
+        "import serialize\n"
+        "same = pad4(a.shape) == pad4(b.shape)\n"  # line 3, twice
+        "size = serialize.pad4(a.shape)\n"  # line 4
+        "rule = pad4\n"  # a reference, not a call
+    )
+    assert pad4_calls(source) == ["line 3", "line 3", "line 4"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "serialize.py"], ids=lambda p: p.name
+)
+def test_only_serialize_calls_pad4(path):
+    assert pad4_calls(path.read_text()) == []
+
+
 # numpy calls that write into their first argument
 _WRITES_FIRST_ARG = {"copyto", "put", "put_along_axis", "place", "putmask", "at"}
 

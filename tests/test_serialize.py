@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s2fpn import serialize
-from s2fpn.errors import CheckpointError, ShapeError
+from s2fpn.errors import CheckpointError
 from s2fpn.nn import BatchNorm2d, Conv2d, Module
 from s2fpn.serialize import MAGIC, load_model, read_checkpoint, write_checkpoint
+from s2fpn.tensor import using_dtype
 
 
 class SmallNet(Module):
@@ -119,11 +120,51 @@ def test_shape_mismatch_names_tensor(tmp_path):
     entries["conv.weight"] = entries["conv.weight"].transpose(1, 0, 2, 3).copy()
     path = tmp_path / "bad_shape.ckpt"
     write_checkpoint(path, entries)
-    with pytest.raises(ShapeError) as err:
+    with pytest.raises(CheckpointError) as err:
         load_model(path, SmallNet(seed=5))
     message = str(err.value)
     assert "conv.weight" in message
     assert "(3, 4, 3, 3)" in message and "(4, 3, 3, 3)" in message
+
+
+def test_strict_load_with_an_unexpected_name_copies_nothing():
+    source, target = SmallNet(seed=1), SmallNet(seed=5)
+    before = {name: arr.copy() for name, arr in target.state_dict().items()}
+    state = {**source.state_dict(), "extra": np.zeros(1)}
+    with pytest.raises(CheckpointError, match="extra"):
+        target.load_state_dict(state, strict=True)
+    assert all(np.array_equal(arr, before[name]) for name, arr in target.state_dict().items())
+
+
+def test_float32_state_loads_into_a_float64_model_as_its_cast():
+    source = SmallNet(seed=1)
+    with using_dtype(np.float64):
+        target = SmallNet(seed=5)
+    loaded, missing, unexpected = target.load_state_dict(source.state_dict(), strict=True)
+    assert len(loaded) == len(source.state_dict()) and not missing and not unexpected
+    for name, arr in target.state_dict().items():
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr, source.state_dict()[name].astype(np.float64))
+
+
+def test_restore_checks_names_then_counts_then_shapes():
+    target = np.zeros((2, 3))
+    good = {"w": np.ones((1, 1, 2, 3)), "step": np.asarray([4.0])}
+    cases = [
+        ({"w": np.ones((3, 2)), "step": np.asarray([np.nan])}, "lacks 1 entries: n"),
+        ({"w": np.ones((3, 2)), "step": np.asarray([np.nan]), "n": 0.5}, "'step'"),
+        ({"w": np.ones((3, 2)), "step": np.asarray([5.0]), "n": 0.5}, r"'step' must hold .* \[0, 4\]"),
+        ({"w": np.ones((3, 2)), "step": np.asarray([4.0]), "n": 1.5}, r"'n' must hold .* \[-1, 1\]"),
+        ({"w": np.ones((3, 2)), "step": np.asarray([4.0]), "n": 0.5}, r"'w'.*\(3, 2\).*\(2, 3\)"),
+    ]
+    for entries, message in cases:
+        with pytest.raises(CheckpointError, match=message):
+            serialize.restore("f", entries, {"w": target}, {"step": 4}, {"n": (-1, 1)})
+        assert not target.any()
+    values = serialize.restore("f", {**good, "n": np.asarray([-1.0])}, {"w": target},
+                               {"step": 4}, {"n": (-1, 1)})
+    assert values == {"step": 4, "n": -1.0} and isinstance(values["step"], int)
+    assert np.array_equal(target, np.ones((2, 3)))
 
 
 def test_low_rank_entries_pad_to_4d(tmp_path):

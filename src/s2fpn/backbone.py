@@ -1,9 +1,10 @@
-"""ResNet-18/34 feature extractors exposing the five-level hierarchy.
+"""ResNet-18/34 feature extractors exposing four taps, f2..f5.
 
 The classifier head (global pool + fc) is never built; the model ends at
 the last residual stage. The "34m" variant is ResNet-34 with the first
 block of the second residual stage running at stride 1, which doubles the
 spatial dims of the three deepest taps while keeping parameters identical.
+The stride-2 stem activation is no tap, so in eval it dies at the max-pool.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ _STAGE_STRIDES = {"r18": (1, 2, 2, 2), "r34": (1, 2, 2, 2), "r34m": (1, 1, 2, 2)
 
 @dataclass
 class FeatureHierarchy:
-    """Backbone taps f1..f5 (downsampling factors: `Backbone.feature_strides`)."""
+    """The four backbone taps f2..f5 (downsampling factors: `Backbone.feature_strides`)."""
 
-    f1: Tensor
     f2: Tensor
     f3: Tensor
     f4: Tensor
     f5: Tensor
 
     def __iter__(self):
-        return iter((self.f1, self.f2, self.f3, self.f4, self.f5))
+        return iter((self.f2, self.f3, self.f4, self.f5))
 
 
 class BasicBlock(Module):
@@ -97,13 +97,9 @@ class Backbone(Module):
         ):
             setattr(self, f"layer{i}", Stage(in_channels, width, blocks, stride, rng))
             in_channels = width
-        strides = [2, 4]
-        s = 4
-        for stage_stride in stage_strides[1:]:
-            s *= stage_stride
-            strides.append(s)
-        self.feature_strides = tuple(strides)
-        self.max_stride = max(strides)
+        # layer1 runs at the stem's stride 4; each later stage multiplies it
+        self.feature_strides = tuple(4 * int(s) for s in np.cumprod(stage_strides))
+        self.max_stride = self.feature_strides[-1]
 
     def forward(self, x: Tensor) -> FeatureHierarchy:
         if x.ndim != 4 or x.shape[1] != 3:
@@ -114,13 +110,11 @@ class Backbone(Module):
             raise ShapeError(
                 f"input dims ({h}, {w}) must be divisible by {d} for variant {self.variant}"
             )
-        f1 = ops.relu(self.stem_bn(self.stem_conv(x)))
-        pooled = self.stem_pool(f1)
-        f2 = self.layer1(pooled)
+        f2 = self.layer1(self.stem_pool(ops.relu(self.stem_bn(self.stem_conv(x)))))
         f3 = self.layer2(f2)
         f4 = self.layer3(f3)
         f5 = self.layer4(f4)
-        return FeatureHierarchy(f1, f2, f3, f4, f5)
+        return FeatureHierarchy(f2, f3, f4, f5)
 
 
 def build_backbone(variant: str, rng: np.random.Generator | None = None) -> Backbone:

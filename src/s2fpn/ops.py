@@ -266,15 +266,15 @@ def global_avg_pool(x) -> Tensor:
 
 
 def _pool_taps(size: int, out: int, kernel: int, stride: int, padding: int):
-    """Per kernel offset: the output slice whose window tap lands inside the
-    input along one axis, and the matching strided input slice."""
+    """Per kernel offset `i` along one axis: `i`, the output slice whose
+    window tap lands inside the input, and the matching strided input slice."""
     taps = []
     for i in range(kernel):
         lo = max(0, -(-(padding - i) // stride))
         hi = min(out, (size - 1 + padding - i) // stride + 1)
         start = lo * stride + i - padding
         if hi > lo:
-            taps.append((slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+            taps.append((i, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
     return taps
 
 
@@ -291,8 +291,8 @@ def max_pool(x, kernel: int, stride: int, padding: int = 0) -> Tensor:
         raise ShapeError(f"max_pool window {kernel} does not fit input {x.shape}")
     taps = [
         (oi, oj, ii, ij)
-        for oi, ii in _pool_taps(h, oh, kernel, stride, padding)
-        for oj, ij in _pool_taps(w, ow, kernel, stride, padding)
+        for _, oi, ii in _pool_taps(h, oh, kernel, stride, padding)
+        for _, oj, ij in _pool_taps(w, ow, kernel, stride, padding)
     ]
     data = np.full((n, c, oh, ow), -np.inf, dtype=x.dtype)
     for oi, oj, ii, ij in taps:
@@ -392,17 +392,17 @@ def _im2col(data: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: i
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
-    """Scatter-add (C*kh*kw, N*oH*oW) columns back onto an (N, C, H, W) image."""
+    """Scatter-add (C*kh*kw, N*oH*oW) columns back onto an (N, C, H, W)
+    image tap by tap, row-major; what lands in the padding is never added."""
     n, c, h, w = x_shape
     if _pointwise(kh, kw, stride, padding):
         return np.ascontiguousarray(cols.reshape(c, n, h, w).transpose(1, 0, 2, 3))
-    padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    image = np.zeros((c, n, h, w), dtype=cols.dtype)
     cols = cols.reshape(c, kh, kw, n, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            padded[:, :, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride] += cols[:, i, j]
-    padded = padded[:, :, padding : padding + h, padding : padding + w]
-    return np.ascontiguousarray(padded.transpose(1, 0, 2, 3))
+    for i, oi, ii in _pool_taps(h, oh, kh, stride, padding):
+        for j, oj, ij in _pool_taps(w, ow, kw, stride, padding):
+            image[:, :, ii, ij] += cols[:, i, j, :, oi, oj]
+    return np.ascontiguousarray(image.transpose(1, 0, 2, 3))
 
 
 def _conv_bands(data, w_g, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):

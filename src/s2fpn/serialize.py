@@ -87,8 +87,10 @@ def _take(fh, size: int, path) -> bytes:
     return raw
 
 
-def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read all entries; shapes come back 4-d (leading dims padded with 1).
+def read_checkpoint(path, names=None) -> dict[str, np.ndarray | None]:
+    """Read the entries in `names` (every entry when None); shapes come
+    back 4-d (leading dims padded with 1). Any other entry maps to None:
+    its extent is checked against the file size but its data is not read.
 
     Reads the manifest, then each entry straight into its own array, so
     the peak memory is the arrays themselves.
@@ -96,12 +98,12 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            return _read_entries(fh, path, os.fstat(fh.fileno()).st_size)
+            return _read_entries(fh, path, os.fstat(fh.fileno()).st_size, names)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _read_entries(fh, path: Path, file_size: int) -> dict[str, np.ndarray]:
+def _read_entries(fh, path: Path, file_size: int, names) -> dict[str, np.ndarray | None]:
     if fh.read(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
     (count,) = struct.unpack("<I", _take(fh, 4, path))
@@ -118,7 +120,7 @@ def _read_entries(fh, path: Path, file_size: int) -> dict[str, np.ndarray]:
             raise CheckpointError(f"entry {name!r} has unknown dtype code {code}")
         records.append((name, dtype, tuple(shape), offset))
     data_start = fh.tell()
-    out: dict[str, np.ndarray] = {}
+    out: dict[str, np.ndarray | None] = {}
     for name, dtype, shape, offset in records:
         n_bytes = math.prod(shape) * dtype.itemsize
         start = data_start + offset
@@ -126,6 +128,9 @@ def _read_entries(fh, path: Path, file_size: int) -> dict[str, np.ndarray]:
         # must not turn into a huge allocation
         if start + n_bytes > file_size:
             raise CheckpointError(f"entry {name!r} is truncated")
+        if names is not None and name not in names:
+            out[name] = None
+            continue
         try:
             arr = np.empty(shape, dtype=dtype)
         except ValueError as exc:  # a zero dim lets any other dims past the check above
@@ -176,9 +181,9 @@ def restore(source, entries, targets: dict[str, np.ndarray], counts=(), numbers=
 
 def load_model(path, model) -> tuple[list[str], list[str]]:
     """Restore every parameter and buffer of `model` from the file at
-    `path`; extra entries (e.g. optimizer state) are allowed. Returns the
-    (loaded, unexpected) name lists."""
-    state = read_checkpoint(path)
+    `path`; extra entries (e.g. optimizer state) are allowed but not read.
+    Returns the (loaded, unexpected) name lists."""
     targets = model.state_dict()
+    state = read_checkpoint(path, targets)
     restore(path, state, targets)
     return list(targets), [name for name in state if name not in targets]

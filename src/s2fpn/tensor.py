@@ -214,7 +214,8 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor with a zero-initialized gradient accumulator.
+    """A trainable leaf tensor. Its `.grad` is None until backward sends
+    it a gradient, so a model that only runs forward holds no gradients.
 
     `name` is assigned when the parameter is registered on a module and is
     unique within a model, which is what makes checkpoints round-trip.
@@ -224,7 +225,6 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str | None = None, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
-        self.grad = np.zeros_like(self.data)
         self.name = name
 
     def __repr__(self) -> str:

@@ -301,7 +301,7 @@ class TestCriterion7ScheduleOptimizer:
         with using_dtype(np.float64):
             theta = Parameter(np.array(1.0))
             opt = Adam([theta], eps=1e-8)
-            theta.grad[...] = -0.73
+            theta.grad = np.full_like(theta.data, -0.73)
             opt.step(3e-4)
             expected = 1.0 - 3e-4 * (-0.73) / (0.73 + 1e-8)
             err = abs(float(theta.data) - expected)

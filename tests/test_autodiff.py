@@ -1,5 +1,6 @@
 """Tape mechanics and finite-difference checks for every kernel."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from s2fpn import Parameter, Tensor, no_grad, ops, tape, using_dtype
 from s2fpn.attention import StripAttention
 from s2fpn.errors import ShapeError
+from s2fpn.model import S2FPN
 from s2fpn.nn import ConvBNReLU
 from s2fpn.optim import Adam
 from s2fpn.verification import kernel_checks
@@ -59,6 +61,20 @@ def test_forward_frees_an_activation_no_backward_reads():
     assert bn_out() is None
     tape().backward(ops.tensor_sum(out))
     assert np.any(block.conv.weight.grad != 0)
+
+
+def test_a_built_model_holds_its_state_and_no_gradients():
+    # a parameter gets a gradient array only from backward, so a model
+    # that only runs forward holds its weights and buffers and nothing else
+    tracemalloc.start()
+    try:
+        model = S2FPN("r18", 64, 5, seed=0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is None for p in model.parameters())
+    state = sum(arr.nbytes for arr in model.state_dict().values())
+    assert abs(held - state) <= 0.05 * state, f"{held} bytes held for {state} bytes of state"
 
 
 def test_zero_upstream_gives_zero_param_grads():

@@ -1,5 +1,7 @@
 """Feature-extractor structure, stride arithmetic, and weight import."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from s2fpn import Tensor, no_grad
 from s2fpn.analysis import count_params
 from s2fpn.backbone import build_backbone
 from s2fpn.errors import CheckpointError, ConfigError, ShapeError
+from s2fpn.model import S2FPN
 from s2fpn.serialize import load_model, read_checkpoint, write_checkpoint
+
+from capture import capture
 
 
 def forward(bb, h, w, seed=0):
@@ -34,9 +39,9 @@ def test_r34_block_counts():
 
 
 def test_strides_per_variant():
-    assert build_backbone("r18").feature_strides == (2, 4, 8, 16, 32)
-    assert build_backbone("r34").feature_strides == (2, 4, 8, 16, 32)
-    assert build_backbone("r34m").feature_strides == (2, 4, 4, 8, 16)
+    assert build_backbone("r18").feature_strides == (4, 8, 16, 32)
+    assert build_backbone("r34").feature_strides == (4, 8, 16, 32)
+    assert build_backbone("r34m").feature_strides == (4, 4, 8, 16)
 
 
 @pytest.mark.parametrize("variant,size", [("r18", (64, 96)), ("r18", (96, 160)), ("r34m", (64, 128))])
@@ -44,9 +49,23 @@ def test_stride_arithmetic(variant, size):
     bb = build_backbone(variant).eval()
     h, w = size
     feats = forward(bb, h, w)
-    widths = (64, 64, 128, 256, 512)
+    widths = (64, 128, 256, 512)
     for f, stride, c in zip(feats, bb.feature_strides, widths):
         assert f.shape == (1, c, h // stride, w // stride)
+
+
+def test_stem_activation_dies_inside_the_backbone():
+    # the stem ReLU output feeds only the max-pool and is no tap: under
+    # no_grad nothing holds it once the backbone returns its four taps
+    model = S2FPN("r18", 64, 5, seed=0).eval()
+    x = Tensor(np.random.default_rng(2).standard_normal((1, 3, 64, 64)).astype(np.float32))
+    with no_grad(), capture(model.backbone) as calls:
+        features = model.backbone(x)
+    [((stem_out,), _)] = calls["stem_pool"]
+    stem = weakref.ref(stem_out.data)
+    del calls, stem_out
+    assert stem() is None
+    assert [f.shape[1] for f in features] == [64, 128, 256, 512]
 
 
 def test_r34m_f5_doubles_r34():

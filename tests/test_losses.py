@@ -73,6 +73,7 @@ class TestOhem:
 
     def test_all_ignored_backward_leaves_zero_gradient(self):
         logits = Parameter(np.random.default_rng(1).standard_normal((1, 3, 2, 2)))
+        logits.grad = np.zeros_like(logits.data)
         loss = ohem_cross_entropy(logits, np.full((1, 2, 2), 255))
         tape().backward(loss)
         assert np.array_equal(logits.grad, np.zeros_like(logits.data))
@@ -194,7 +195,7 @@ class TestAdam:
             theta = Parameter(np.array(2.0))
             opt = Adam([theta], eps=1e-8)
             g = 0.37
-            theta.grad[...] = g
+            theta.grad = np.full_like(theta.data, g)
             lr = 1e-3
             opt.step(lr)
             expected = 2.0 - lr * g / (abs(g) + 1e-8)
@@ -204,7 +205,7 @@ class TestAdam:
         with using_dtype(np.float64):
             theta = Parameter(np.full((2, 2), 1.5))
             opt = Adam([theta], weight_decay=0.0)
-            theta.grad[...] = 0.0
+            theta.grad = np.full_like(theta.data, 0.0)
             opt.step(1e-3)
             np.testing.assert_array_equal(theta.data, np.full((2, 2), 1.5))
 
@@ -215,7 +216,7 @@ class TestAdam:
                 theta = Parameter(rng.standard_normal((3, 3)))
                 opt = Adam([theta], weight_decay=5e-6)
                 for i in range(25):
-                    theta.grad[...] = rng.standard_normal((3, 3))
+                    theta.grad = rng.standard_normal((3, 3))
                     opt.step(poly_lr(i, 25, 3e-4))
                 return theta.data.copy()
 
@@ -262,7 +263,7 @@ class TestAdam:
         with using_dtype(np.float64):
             theta = Parameter(np.array(10.0))
             opt = Adam([theta], weight_decay=0.1)
-            theta.grad[...] = 0.0
+            theta.grad = np.full_like(theta.data, 0.0)
             opt.step(1.0)
             assert abs(float(theta.data) - 9.0) < 1e-12
 

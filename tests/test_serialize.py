@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from s2fpn import serialize
 from s2fpn.errors import CheckpointError
 from s2fpn.nn import BatchNorm2d, Conv2d, Module
+from s2fpn.optim import Adam
 from s2fpn.serialize import MAGIC, load_model, read_checkpoint, write_checkpoint
 from s2fpn.tensor import using_dtype
 
@@ -235,6 +236,58 @@ def test_read_peak_memory_is_the_arrays(tmp_path):
         tracemalloc.stop()
     assert len(loaded) == 16
     assert peak <= 1.1 * size + 2**20, f"peak {peak} bytes for a {size}-byte file"
+
+
+class TrainerState(Module):
+    """A model with a megabyte of weights, so the fixed cost of reading a
+    manifest is small against its state."""
+
+    def __init__(self):
+        super().__init__()
+        self.conv = Conv2d(128, 128, 3, padding=1, rng=np.random.default_rng(0))
+        self.bn = BatchNorm2d(128)
+        self.assign_parameter_names()
+
+
+def write_trainer_checkpoint(path, model):
+    """What `Trainer.save_checkpoint` writes: the model, the Adam step and
+    moments (twice the parameters' bytes) and the trainer counters."""
+    entries = {**model.state_dict(), **dict(Adam(model.parameters()).state_entries())}
+    entries["trainer.iter"] = np.asarray([2.0])
+    entries["trainer.best_miou"] = np.asarray([-1.0])
+    write_checkpoint(path, entries)
+    return entries
+
+
+def test_load_model_reads_only_the_model(tmp_path):
+    path = tmp_path / "final.ckpt"
+    model = TrainerState()
+    entries = write_trainer_checkpoint(path, model)
+    state_bytes = sum(arr.nbytes for arr in model.state_dict().values())
+    target = TrainerState()
+    tracemalloc.start()
+    try:
+        loaded, unexpected = load_model(path, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * state_bytes, f"peak {peak} bytes for {state_bytes} bytes of state"
+    # the optimizer and trainer entries are skipped, yet still reported
+    assert unexpected == [name for name in entries if name not in loaded]
+    assert any(name.startswith("optim.") for name in unexpected)
+    assert all(np.array_equal(target.state_dict()[name], model.state_dict()[name]) for name in loaded)
+
+
+def test_skipped_entries_are_still_checked_against_the_file_size(tmp_path):
+    path = tmp_path / "final.ckpt"
+    write_trainer_checkpoint(path, TrainerState())
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(path.read_bytes()[:-4])  # into trainer.best_miou, which is skipped
+    with pytest.raises(CheckpointError, match="trainer.best_miou"):
+        load_model(cut, TrainerState())
+    entries = read_checkpoint(path, ["conv.weight"])
+    assert entries["conv.weight"].shape == (128, 128, 3, 3)
+    assert all(arr is None for name, arr in entries.items() if name != "conv.weight")
 
 
 class _FullDisk:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .blas import blas_threads, thread_limit
 from .counting import current_counter, set_counter
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, default_dtype, no_grad
 
 CONVENTION_NOTE = (
     "flops: 1 MAC = 2 FLOPs for convolutions (+bias adds); "
@@ -35,7 +35,6 @@ class FlopCounter:
         self._names = {id(m): name for name, m in model.named_modules()}
         self._stack: list[str] = []
         self.per_module: dict[str, int] = defaultdict(int)
-        self.total = 0
 
     def enter(self, module) -> None:
         self._stack.append(self._names.get(id(module), "<external>"))
@@ -44,7 +43,6 @@ class FlopCounter:
         self._stack.pop()
 
     def add(self, flops: int) -> None:
-        self.total += flops
         name = self._stack[-1] if self._stack else ""
         self.per_module[name] += flops
 
@@ -152,10 +150,9 @@ def count_params(model) -> AnalysisReport:
 
 def count_flops(model, input_shape) -> AnalysisReport:
     """Run one eval-mode forward at `input_shape`, recording per-op costs."""
-    n, c, h, w = input_shape
     was_training = model.training
     model.eval()
-    x = Tensor(np.zeros((n, c, h, w), dtype=np.float32))
+    x = Tensor(np.zeros(input_shape, dtype=default_dtype()))
     try:
         with no_grad(), flop_counting(model) as counter:
             model(x)
@@ -182,8 +179,7 @@ def benchmark_latency(
 ) -> LatencyStats:
     """Wall-clock forward latency in eval mode (no I/O, no grad recording)."""
     rng = np.random.default_rng(seed)
-    n, c, h, w = input_shape
-    x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32))
+    x = Tensor(rng.standard_normal(input_shape).astype(default_dtype()))
     was_training = model.training
     model.eval()
     samples_ms: list[float] = []

@@ -9,7 +9,7 @@ The stride-2 stem activation is no tap, so in eval it dies at the max-pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,17 +24,14 @@ _BLOCK_COUNTS = {"r18": (2, 2, 2, 2), "r34": (3, 4, 6, 3), "r34m": (3, 4, 6, 3)}
 _STAGE_STRIDES = {"r18": (1, 2, 2, 2), "r34": (1, 2, 2, 2), "r34m": (1, 1, 2, 2)}
 
 
-@dataclass
-class FeatureHierarchy:
-    """The four backbone taps f2..f5 (downsampling factors: `Backbone.feature_strides`)."""
+class FeatureHierarchy(NamedTuple):
+    """The four backbone taps f2..f5, with widths `STAGE_WIDTHS` and
+    downsampling factors `Backbone.feature_strides`, in that order."""
 
     f2: Tensor
     f3: Tensor
     f4: Tensor
     f5: Tensor
-
-    def __iter__(self):
-        return iter((self.f2, self.f3, self.f4, self.f5))
 
 
 class BasicBlock(Module):

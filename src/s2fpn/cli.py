@@ -173,9 +173,8 @@ def cmd_infer(args) -> int:
     with no_grad():
         logits = model(model.normalize(to_chw(image)[None]))
     pred = logits.data.argmax(axis=1)[0].astype(np.uint8)
-    out = Path(args.out)
-    label_path = out.with_suffix(".pgm")
-    overlay_path = out.with_suffix(".ppm")
+    label_path = Path(f"{args.out}.pgm")
+    overlay_path = Path(f"{args.out}.ppm")
     write_pgm(label_path, pred)
     colors = palette.color_map()[pred]
     overlay = np.clip(

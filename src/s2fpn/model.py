@@ -10,11 +10,11 @@ from .decoder import GlobalFeatureUpsample, SegHead
 from .errors import ConfigError, DataError
 from .nn import Module
 from .pyramid import AttentionPyramid, DepthwiseProjection
-from .tensor import Tensor
+from .tensor import Tensor, default_dtype
 
 
-def pyramid_widths(top_width: int) -> dict[int, int]:
-    """Per-level fusion widths: halved at each finer level.
+def pyramid_widths(top_width: int) -> tuple[int, ...]:
+    """Fusion widths in tap order (w2, w3, w4, w5): halved at each finer level.
 
     Compute at the fine, high-resolution levels is what dominates the
     budget, so the pyramid narrows top-down; `top_width` must be divisible
@@ -22,7 +22,7 @@ def pyramid_widths(top_width: int) -> dict[int, int]:
     """
     if top_width % 32:
         raise ConfigError(f"pyramid width must be divisible by 32, got {top_width}")
-    return {5: top_width, 4: top_width // 2, 3: top_width // 4, 2: top_width // 8}
+    return (top_width // 8, top_width // 4, top_width // 2, top_width)
 
 
 class S2FPN(Module):
@@ -52,13 +52,13 @@ class S2FPN(Module):
         widths = pyramid_widths(pyramid_width)
         self.backbone = build_backbone(backbone, rng)
         deep = STAGE_WIDTHS[-1]
-        self.cfgb = DepthwiseProjection(deep, widths[5], stride=2, rng=rng)
-        self.fab = DepthwiseProjection(deep, widths[2], stride=1, rng=rng)
+        self.cfgb = DepthwiseProjection(deep, widths[-1], stride=2, rng=rng)
+        self.fab = DepthwiseProjection(deep, widths[0], stride=1, rng=rng)
         self.apf = AttentionPyramid(widths, num_classes, dropout_p, rng=rng)
-        self.gfu = GlobalFeatureUpsample(widths[2], rng=rng)
-        self.head = SegHead(widths[2], num_classes, rng=rng)
-        self.register_buffer("input_mean", np.zeros((1, 3, 1, 1), dtype=np.float32))
-        self.register_buffer("input_std", np.ones((1, 3, 1, 1), dtype=np.float32))
+        self.gfu = GlobalFeatureUpsample(widths[0], rng=rng)
+        self.head = SegHead(widths[0], num_classes, rng=rng)
+        self.register_buffer("input_mean", np.zeros((1, 3, 1, 1), dtype=default_dtype()))
+        self.register_buffer("input_std", np.ones((1, 3, 1, 1), dtype=default_dtype()))
         self.assign_parameter_names()
 
     @classmethod
@@ -68,25 +68,28 @@ class S2FPN(Module):
 
     def normalize(self, images: np.ndarray) -> Tensor:
         """The network's input transform: (N, 3, H, W) images in [0, 1] to
-        a float32 input standardized by the `input_mean`/`input_std` buffers."""
-        return Tensor(((images - self.input_mean.data) / self.input_std.data).astype(np.float32))
+        an input standardized by the `input_mean`/`input_std` buffers, in
+        their dtype."""
+        mean, std = self.input_mean.data, self.input_std.data
+        return Tensor(((images - mean) / std).astype(mean.dtype))
 
     def check_frame(self, h: int, w: int) -> None:
-        """A data error unless the backbone's coarsest stride divides (h, w)."""
+        """A data error unless each side of (h, w) is a multiple of the
+        backbone's coarsest stride and long enough that f5 keeps two pixels
+        for the stride-2 seed projection."""
         stride = self.backbone.max_stride
-        if h % stride or w % stride:
+        least = self.cfgb.stride * stride
+        if h % stride or w % stride or min(h, w) < least:
             raise DataError(
-                f"image dims ({h}, {w}) must be divisible by {stride} for this backbone"
+                f"image dims ({h}, {w}) must be divisible by {stride} and at least {least} "
+                "for this backbone"
             )
 
     def forward(self, x: Tensor):
         n, c, h, w = x.shape
-        features = self.backbone(x)
-        coarse_seed = self.cfgb(features.f5)
-        pyramid_outs, aux_logits = self.apf(features, coarse_seed)
-        adapted = self.fab(features.f5)
-        fused = self.gfu(adapted, pyramid_outs[2])
-        main = self.head(fused)
+        taps = self.backbone(x)
+        finest, aux_logits = self.apf(taps, self.cfgb(taps.f5))
+        main = self.head(self.gfu(self.fab(taps.f5), finest))
         if self.training:
             return main, aux_logits
         return ops.bilinear_upsample(main, h, w)

@@ -6,11 +6,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
+from .backbone import STAGE_WIDTHS
 from .errors import ShapeError
 from .nn import BatchNorm2d, Conv2d, ConvBNReLU, Dropout, Module
 from .attention import ChannelAttention, StripAttention
-
-LATERAL_CHANNELS = {2: 64, 3: 128, 4: 256, 5: 512}
 
 
 class DepthwiseProjection(Module):
@@ -114,36 +113,25 @@ class PyramidStage(Module):
 
 
 class AttentionPyramid(Module):
-    """Levels 5 down to 2; level 5 consumes the stride-2 coarse seed, each
-    later level consumes the previous level's refined output."""
+    """One stage per backbone tap, built and run top-down as stages "5".."2":
+    stage 5 consumes the stride-2 coarse seed, each finer stage the previous
+    stage's refined output. `widths` are the fusion widths in tap order."""
 
-    def __init__(self, widths: dict[int, int], num_classes: int, dropout_p: float = 0.1, rng=None):
+    def __init__(self, widths: tuple[int, ...], num_classes: int, dropout_p: float = 0.1, rng=None):
         super().__init__()
-        coarse_channels = widths[5]  # the seed projection already emits this width
-        for level in (5, 4, 3, 2):
+        coarse_channels = widths[-1]  # the seed projection already emits this width
+        for level, lateral, width in reversed(tuple(zip(range(2, 6), STAGE_WIDTHS, widths))):
             stage = PyramidStage(
-                level,
-                LATERAL_CHANNELS[level],
-                coarse_channels,
-                widths[level],
-                num_classes,
-                dropout_p,
-                rng=rng,
+                level, lateral, coarse_channels, width, num_classes, dropout_p, rng=rng
             )
             setattr(self, str(level), stage)
-            coarse_channels = widths[level]
+            coarse_channels = width
 
-    def stage(self, level: int) -> PyramidStage:
-        return self._modules[str(level)]
-
-    def forward(self, hierarchy, coarse_seed):
-        laterals = {2: hierarchy.f2, 3: hierarchy.f3, 4: hierarchy.f4, 5: hierarchy.f5}
-        coarse = coarse_seed
-        outputs: dict[int, object] = {}
-        aux: dict[int, object] = {}
-        for level in (5, 4, 3, 2):
-            coarse, aux[level] = self.stage(level)(coarse, laterals[level])
-            outputs[level] = coarse
-        # aux logits ordered fine-to-coarse (strides 4, 8, 16, 32 on the
-        # standard backbones)
-        return outputs, [aux[2], aux[3], aux[4], aux[5]]
+    def forward(self, taps, coarse):
+        """Fuse `taps` (f2..f5) top-down from `coarse`; return the finest
+        refined map and the aux logits ordered fine to coarse."""
+        aux = []
+        for stage, low in zip(self._modules.values(), reversed(taps)):
+            coarse, logits = stage(coarse, low)
+            aux.append(logits)
+        return coarse, aux[::-1]

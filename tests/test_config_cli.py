@@ -564,6 +564,29 @@ class TestCliCommands:
         assert err.startswith("data error: ") and "(48, 100)" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_frame_the_seed_projection_cannot_halve_is_data_error(
+        self, toy_setup, tmp_path, capsys, command
+    ):
+        # 32 divides (32, 64), but f5 would be 1x2 and the stride-2 seed
+        # projection needs two pixels per side
+        base, root, config = toy_setup
+        corpus = make_toy_corpus(tmp_path / "corpus", n_train=1, n_val=1, height=32, width=64,
+                                 num_classes=4)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.read_text().replace(str(root), str(corpus)))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        ckpt = str(base / "run" / "final.ckpt")
+        argv = {"eval": ["eval", ckpt, "--split", "val", "--csv", str(out_dir / "iou.csv")],
+                "infer": ["infer", ckpt, str(corpus / "images" / "val_001.ppm"),
+                          str(out_dir / "pred")]}[command]
+        assert main(["--config", str(cfg), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("data error: ") and "(32, 64)" in err
+        assert "Traceback" not in out + err
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["train", "infer"])
     def test_empty_image_is_data_error(self, toy_setup, tmp_path, capsys, command):
         base, root, config = toy_setup
@@ -619,6 +642,31 @@ class TestCliCommands:
         assert err.startswith("error: ") and "crop_h" in err and "(50, 64)" in err and "32" in err
         assert "Traceback" not in out + err
         assert not (tmp_path / "run").exists()
+
+    def test_crop_the_seed_projection_cannot_halve_is_refused_first(
+        self, toy_setup, tmp_path, capsys
+    ):
+        base, root, config = toy_setup
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.read_text().replace("crop_h = 64", "crop_h = 32")
+                       .replace(str(base / "run"), str(tmp_path / "run")))
+        assert main(["--config", str(cfg), "train"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "crop_h" in err and "(32, 64)" in err
+        assert "Traceback" not in out + err
+        assert not (tmp_path / "run").exists()
+
+    def test_infer_appends_the_suffixes_to_the_prefix(self, toy_setup, tmp_path):
+        base, root, config = toy_setup
+        image = root / "images" / f"{SegDataset(root).split('val')[0]}.ppm"
+        out_dir = tmp_path / "runs.v2"
+        out_dir.mkdir()
+        for frame in ("frame.001", "frame.002"):
+            argv = ["infer", str(base / "run" / "final.ckpt"), str(image), str(out_dir / frame)]
+            assert main(["--config", str(config), *argv]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "frame.001.pgm", "frame.001.ppm", "frame.002.pgm", "frame.002.ppm"
+        ]
 
     def test_console_script_entry(self):
         result = subprocess.run(

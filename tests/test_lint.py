@@ -164,3 +164,38 @@ def test_detects_a_write_into_the_incoming_gradient():
 @pytest.mark.parametrize("path", [PACKAGE / "ops.py", PACKAGE / "losses.py"], ids=lambda p: p.name)
 def test_no_backward_writes_into_its_gradient(path):
     assert gradient_writes(path.read_text()) == []
+
+
+# the network's modules take their float type from `default_dtype()`, as
+# the parameters do, so `--f64` reaches every input, buffer and activation
+_FLOAT_FREE = ("nn", "backbone", "pyramid", "attention", "decoder", "model", "analysis")
+
+
+def float_type_names(source: str) -> list[str]:
+    """Lines that name `np.float32` or `np.float64` (or via `numpy.`);
+    docstrings and comments do not count."""
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("float32", "float64")
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ]
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_detects_a_named_float_type():
+    source = (
+        '"""Runs in float32 unless told float64."""\n'
+        "x = np.zeros(3, dtype=np.float32)\n"  # line 2
+        "y = x.astype(numpy.float64)  # np.float32\n"  # line 3
+        "z = x.astype(default_dtype())\n"
+        "w = x.dtype == np.float64 or x.float32\n"  # line 5; `x.float32` is no type
+    )
+    assert float_type_names(source) == ["line 2", "line 3", "line 5"]
+
+
+@pytest.mark.parametrize("name", _FLOAT_FREE)
+def test_network_modules_name_no_float_type(name):
+    assert float_type_names((PACKAGE / f"{name}.py").read_text()) == []

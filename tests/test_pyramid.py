@@ -151,6 +151,6 @@ class TestPyramidChain:
         with no_grad():
             features = model.backbone(x)
             seed = model.cfgb(features.f5)
-            outs, _ = model.apf(features, seed)
-        assert outs[2].shape[2:] == (16, 32)
-        assert outs[2].shape[1] == model.pyramid_width // 8
+            finest, _ = model.apf(features, seed)
+        assert finest.shape[2:] == (16, 32)
+        assert finest.shape[1] == model.pyramid_width // 8

@@ -24,12 +24,12 @@ from .errors import (
     NumericCheckError,
     ShapeError,
 )
+from .gradcheck import CHECKS, run_verification
 from .imageio import read_ppm, write_pgm, write_ppm
 from .model import S2FPN
 from .serialize import load_model
 from .tensor import default_dtype, no_grad, using_dtype
 from .trainer import Trainer, evaluate_model
-from .verification import ALL_SCOPES, run_verification
 
 
 class UsageError(Exception):
@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=_POSITIVE, default=10)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")
-    p.add_argument("scope", nargs="?", default="all", choices=("all",) + ALL_SCOPES)
+    p.add_argument("scope", nargs="?", default="all", choices=("all", *CHECKS))
     p.add_argument("--seeds", type=_POSITIVE, default=5, help="number of seeds")
     p.add_argument("--tolerance", default=1e-4,
                    type=_number(float, "a finite number >= 0", lambda v: 0 <= v < math.inf))
@@ -191,6 +191,10 @@ def cmd_infer(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     model = S2FPN.from_config(cfg)
+    try:
+        model.check_frame(args.height, args.width)
+    except DataError as exc:
+        raise UsageError(f"--height/--width: {exc}") from None
     shape = (args.batch, 3, args.height, args.width)
     report = count_flops(model, shape)
     if args.latency:

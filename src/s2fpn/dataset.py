@@ -142,7 +142,8 @@ class SegDataset:
         return to_chw(image), label
 
     def compute_normalization(self, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-        """Per-channel mean/std over the split's images (in [0, 1] units)."""
+        """Per-channel mean/std over the split's images (in [0, 1] units); the
+        std is floored at 1e-3, as the variance at 1e-6 (whose root is 1e-3)."""
         total = np.zeros(3, dtype=np.float64)
         total_sq = np.zeros(3, dtype=np.float64)
         count = 0
@@ -154,5 +155,5 @@ class SegDataset:
         if count == 0:
             raise DataError(f"split {split!r} is empty")
         mean = total / count
-        std = np.sqrt(np.maximum(total_sq / count - mean**2, 1e-12))
+        std = np.sqrt(np.maximum(total_sq / count - mean**2, 1e-6))
         return mean.astype(np.float32), std.astype(np.float32)

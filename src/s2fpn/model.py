@@ -88,8 +88,10 @@ class S2FPN(Module):
     def forward(self, x: Tensor):
         n, c, h, w = x.shape
         taps = self.backbone(x)
-        finest, aux_logits = self.apf(taps, self.cfgb(taps.f5))
-        main = self.head(self.gfu(self.fab(taps.f5), finest))
+        f5 = taps.f5
+        finest, aux_logits = self.apf(taps, self.cfgb(f5))
+        del taps  # past the pyramid only f5 is read; in eval f2..f4 are freed here
+        main = self.head(self.gfu(self.fab(f5), finest))
         if self.training:
             return main, aux_logits
         return ops.bilinear_upsample(main, h, w)

@@ -54,7 +54,7 @@ class Trainer:
         self.log_path = self.out_dir / "train.log"
         mean, std = dataset.compute_normalization("train")
         self.model.input_mean.data[...] = mean.reshape(1, 3, 1, 1)
-        self.model.input_std.data[...] = np.maximum(std, 1e-3).reshape(1, 3, 1, 1)
+        self.model.input_std.data[...] = std.reshape(1, 3, 1, 1)
         self.optimizer = Adam(
             self.model.parameters(),
             beta1=cfg.beta1,

@@ -15,6 +15,7 @@ from s2fpn.analysis import benchmark_latency, count_flops, count_params
 from s2fpn.attention import ChannelAttention, StripAttention
 from s2fpn.config import RunConfig
 from s2fpn.dataset import SegDataset
+from s2fpn.gradcheck import run_verification
 from s2fpn.metrics import ConfusionMatrix
 from s2fpn.model import S2FPN
 from s2fpn.optim import Adam, poly_lr
@@ -22,7 +23,6 @@ from s2fpn.pyramid import PyramidStage
 from s2fpn.synthetic import make_toy_corpus
 from s2fpn.tensor import Parameter
 from s2fpn.trainer import Trainer, evaluate_model
-from s2fpn.verification import run_verification
 
 from capture import ohem_selection, pyramid_stage_parts, strip_attention_parts
 from oracles import apf_ref, gfu_ref, ohem_select_ref, ssam_ref

@@ -6,8 +6,8 @@ import pytest
 from s2fpn import Tensor, tape, using_dtype
 from s2fpn.attention import ChannelAttention, StripAttention
 from s2fpn.errors import ConfigError
+from s2fpn.gradcheck import run_checks
 from s2fpn.ops import tensor_sum
-from s2fpn.verification import block_checks
 
 from capture import strip_attention_parts
 from oracles import cam_ref, ssam_ref
@@ -103,7 +103,7 @@ class TestStripAttention:
         np.testing.assert_allclose(a["attention"].data, b["attention"].data, atol=1e-6)
 
     def test_end_to_end_gradient(self):
-        res = block_checks("ssam", seed=0)["ssam"]
+        res = run_checks("ssam", seed=0)["ssam"]
         assert res.max_rel_err < 1e-4, str(res)
 
 
@@ -138,5 +138,5 @@ class TestChannelAttention:
             ChannelAttention(6, reduction=4)
 
     def test_end_to_end_gradient(self):
-        res = block_checks("cam", seed=1)["cam"]
+        res = run_checks("cam", seed=1)["cam"]
         assert res.max_rel_err < 1e-4, str(res)

@@ -9,10 +9,10 @@ import pytest
 from s2fpn import Parameter, Tensor, no_grad, ops, tape, using_dtype
 from s2fpn.attention import StripAttention
 from s2fpn.errors import ShapeError
+from s2fpn.gradcheck import CHECKS, grad_check, run_checks
 from s2fpn.model import S2FPN
 from s2fpn.nn import ConvBNReLU
 from s2fpn.optim import Adam
-from s2fpn.verification import kernel_checks
 
 from capture import capture
 
@@ -163,16 +163,22 @@ def test_eval_mode_records_nothing():
 
 
 def test_every_kernel_passes_finite_differences():
-    results = kernel_checks(seed=0)
+    results = run_checks("ops", seed=0)
     for name, res in results.items():
         assert res.max_rel_err < 1e-4, f"{name}: {res}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_scope_checks_the_same_instances_under_all(seed):
+    alone = {}
+    for scope in CHECKS:
+        alone.update(run_checks(scope, seed))
+    assert run_checks("all", seed) == alone
 
 
 def test_linear_op_gradient_at_roundoff():
     # central differences are exact for a linear map; a generous step keeps
     # the function-evaluation noise below 1e-10
-    from s2fpn.gradcheck import grad_check
-
     with using_dtype(np.float64):
         x = Tensor(np.random.default_rng(5).standard_normal((1, 2, 3, 4)), dtype=np.float64)
         w = Parameter(np.random.default_rng(6).standard_normal((1, 2, 3, 4)))

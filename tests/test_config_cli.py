@@ -477,6 +477,11 @@ class TestCliCommands:
                          id="analyze-batch-0"),
             pytest.param("", None, ["analyze", "--latency", "--iters", "0"], 1,
                          "usage error: --iters", id="analyze-iters-0"),
+            *[
+                pytest.param("", None, ["analyze", "--height", h, "--width", w], 1,
+                             "usage error: --height/--width", id=f"analyze-{h}x{w}")
+                for h, w in [("32", "32"), ("100", "128")]
+            ],
             pytest.param("", None, ["gradcheck", "--seeds", "0"], 1, "usage error: --seeds",
                          id="gradcheck-seeds-0"),
             *[

@@ -103,6 +103,15 @@ class TestDataset:
         np.testing.assert_allclose(mean, stacked.mean(axis=1), atol=1e-5)
         np.testing.assert_allclose(std, stacked.std(axis=1), atol=1e-4)
 
+    def test_constant_channel_std_is_floored(self, tmp_path):
+        root = make_toy_corpus(tmp_path / "corpus", n_train=2, n_val=0, height=16, width=16)
+        ds = SegDataset(root)
+        one_colour = np.full((16, 16, 3), (10, 200, 90), np.uint8)
+        for name in ds.split("train"):
+            write_ppm(root / "images" / f"{name}.ppm", one_colour)
+        _, std = ds.compute_normalization("train")
+        assert std.tolist() == [np.float32(1e-3)] * 3
+
 
 class TestPalette:
     def test_builtin_profiles(self):

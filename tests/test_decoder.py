@@ -7,10 +7,10 @@ from s2fpn import Tensor, no_grad, tape, using_dtype
 from s2fpn.config import RunConfig
 from s2fpn.decoder import GlobalFeatureUpsample
 from s2fpn.errors import ConfigError
+from s2fpn.gradcheck import run_checks
 from s2fpn.losses import total_loss
 from s2fpn.model import S2FPN
 from s2fpn.ops import bilinear_upsample, tensor_sum
-from s2fpn.verification import block_checks
 
 from capture import gfu_parts
 from oracles import gfu_ref
@@ -95,7 +95,7 @@ class TestGlobalFeatureUpsample:
             block(rand((1, 3, 2, 2)), rand((1, 4, 4, 4)))
 
     def test_end_to_end_gradient(self):
-        res = block_checks("gfu", seed=0)["gfu"]
+        res = run_checks("gfu", seed=0)["gfu"]
         assert res.max_rel_err < 1e-4, str(res)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import s2fpn
+from s2fpn.gradcheck import CHECKS
 
 PACKAGE = Path(s2fpn.__file__).parent
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -199,3 +200,8 @@ def test_detects_a_named_float_type():
 @pytest.mark.parametrize("name", _FLOAT_FREE)
 def test_network_modules_name_no_float_type(name):
     assert float_type_names((PACKAGE / f"{name}.py").read_text()) == []
+
+
+def test_readme_gradcheck_usage_lists_every_scope():
+    [usage] = re.findall(r"s2fpn gradcheck \[([^\]]*)\]", (ROOT / "README.md").read_text())
+    assert usage.split("|") == ["all", *CHECKS]

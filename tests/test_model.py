@@ -1,5 +1,7 @@
 """The assembled network: one float type and one frame rule."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,26 @@ class TestFrameRule:
         model = S2FPN(variant, pyramid_width=32, num_classes=3, seed=0)
         with pytest.raises(DataError, match=rf"\({dims[0]}, {dims[1]}\)"):
             model.check_frame(*dims)
+
+
+def test_backbone_taps_die_before_the_decoder():
+    # past the pyramid only f5 is read: under no_grad nothing holds f2 (the
+    # layer1 output) by the time the decoder starts
+    model = S2FPN("r18", pyramid_width=32, num_classes=3, seed=0).eval()
+    layer1, gfu = model.backbone.layer1.forward, model.gfu.forward
+    f2, alive = [], []
+
+    def tap(x):
+        out = layer1(x)
+        f2.append(weakref.ref(out.data))
+        return out
+
+    def decoder(*inputs):
+        alive.append(f2[0]() is not None)
+        return gfu(*inputs)
+
+    model.backbone.layer1.forward = tap
+    model.gfu.forward = decoder
+    with no_grad():
+        model(model.normalize(images(64, 64)))
+    assert alive == [False]

@@ -5,9 +5,9 @@ import pytest
 
 from s2fpn import Tensor, no_grad
 from s2fpn.errors import ShapeError
+from s2fpn.gradcheck import run_checks
 from s2fpn.model import S2FPN
 from s2fpn.pyramid import DepthwiseProjection, PyramidStage
-from s2fpn.verification import block_checks
 
 from capture import pyramid_stage_parts
 from oracles import conv2d_ref
@@ -115,7 +115,7 @@ class TestPyramidStage:
             assert inter["upsampled"].shape[2:] == inter["lateral"].shape[2:]
 
     def test_end_to_end_gradient(self):
-        res = block_checks("apf", seed=0)["apf"]
+        res = run_checks("apf", seed=0)["apf"]
         assert res.max_rel_err < 1e-4, str(res)
 
 

@@ -42,22 +42,25 @@ class StripAttention(Module):
         return x + self.alpha * (scaled - x)
 
 
+# the channel gate's bottleneck is this many times narrower than its input
+REDUCTION = 4
+
+
 class ChannelAttention(Module):
     """Global average pool -> bottleneck 1x1 convs -> sigmoid gate.
 
     Produces an (N, C, 1, 1) weight vector with entries strictly in (0, 1).
     """
 
-    def __init__(self, channels: int, reduction: int = 4, rng: np.random.Generator | None = None):
+    def __init__(self, channels: int, rng: np.random.Generator | None = None):
         super().__init__()
-        if channels % reduction:
+        if channels % REDUCTION:
             raise ConfigError(
-                f"channel count {channels} must be divisible by reduction {reduction}"
+                f"channel count {channels} must be divisible by reduction {REDUCTION}"
             )
         self.channels = channels
-        self.reduction = reduction
-        self.squeeze_conv = Conv2d(channels, channels // reduction, 1, bias=True, rng=rng)
-        self.excite_conv = Conv2d(channels // reduction, channels, 1, bias=True, rng=rng)
+        self.squeeze_conv = Conv2d(channels, channels // REDUCTION, 1, bias=True, rng=rng)
+        self.excite_conv = Conv2d(channels // REDUCTION, channels, 1, bias=True, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.channels:

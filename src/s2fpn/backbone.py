@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .nn import BatchNorm2d, Conv2d, MaxPool2d, Module
+from .nn import BatchNorm2d, Conv2d, Module
 from .tensor import Tensor
 
 STAGE_WIDTHS = (64, 128, 256, 512)
@@ -87,7 +87,6 @@ class Backbone(Module):
         stage_strides = _STAGE_STRIDES[variant]
         self.stem_conv = Conv2d(3, 64, 7, stride=2, padding=3, bias=False, rng=rng)
         self.stem_bn = BatchNorm2d(64)
-        self.stem_pool = MaxPool2d(3, 2, 1)
         in_channels = 64
         for i, (width, blocks, stride) in enumerate(
             zip(STAGE_WIDTHS, self.block_counts, stage_strides), start=1
@@ -107,7 +106,7 @@ class Backbone(Module):
             raise ShapeError(
                 f"input dims ({h}, {w}) must be divisible by {d} for variant {self.variant}"
             )
-        f2 = self.layer1(self.stem_pool(ops.relu(self.stem_bn(self.stem_conv(x)))))
+        f2 = self.layer1(ops.max_pool(ops.relu(self.stem_bn(self.stem_conv(x))), 3, 2, 1))
         f3 = self.layer2(f2)
         f4 = self.layer3(f3)
         f5 = self.layer4(f4)

@@ -10,15 +10,6 @@ from typing import get_type_hints
 from .errors import ConfigError
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -57,9 +48,7 @@ class RunConfig:
         return max(1, self.crop_h * self.crop_w // 16)
 
 
-_CONVERTERS = {
-    str: str, int: int, float: float, bool: _parse_bool, tuple[float, ...]: _parse_floats
-}
+_CONVERTERS = {str: str, int: int, float: float, tuple[float, ...]: _parse_floats}
 _DOTTED = {"ohem_threshold": "ohem.threshold", "ohem_min_kept": "ohem.min_kept"}
 
 # config-file key -> (dataclass field, converter): each field under its own

@@ -40,7 +40,6 @@ class SegHead(Module):
 
     def __init__(self, channels: int, num_classes: int, rng=None):
         super().__init__()
-        self.num_classes = num_classes
         self.classifier = Conv2d(channels, num_classes, 1, bias=True, rng=rng)
 
     def forward(self, x):

@@ -171,12 +171,12 @@ def _ssam(seed: int) -> dict[str, GradCheckResult]:
 
 def _cam(seed: int) -> dict[str, GradCheckResult]:
     rng = np.random.default_rng(seed)
-    return {"cam": _block_check(ChannelAttention(4, reduction=4, rng=rng), rng, x=(1, 4, 3, 5))}
+    return {"cam": _block_check(ChannelAttention(4, rng=rng), rng, x=(1, 4, 3, 5))}
 
 
 def _frb(seed: int) -> dict[str, GradCheckResult]:
     rng = np.random.default_rng(seed)
-    return {"frb": _block_check(FeatureRefinement(6, 3, rng=rng), rng, x=(1, 6, 4, 5))}
+    return {"frb": _block_check(FeatureRefinement(3, rng=rng), rng, x=(1, 6, 4, 5))}
 
 
 def _apf(seed: int) -> dict[str, GradCheckResult]:

@@ -44,14 +44,6 @@ class ConfusionMatrix:
             self.num_classes, self.num_classes
         )
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def pixel_accuracy(self) -> float:
-        total = self.counts.sum()
-        return float(np.diag(self.counts).sum() / total) if total else 0.0
-
     def iou(self) -> np.ndarray:
         """Per-class TP / (TP + FP + FN); NaN where the union is empty."""
         tp = np.diag(self.counts).astype(np.float64)

@@ -138,9 +138,6 @@ class Conv2d(Module):
             raise ConfigError(
                 f"groups={groups} must divide channels ({in_channels} -> {out_channels})"
             )
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
         self.stride = stride
         self.padding = padding
         self.groups = groups
@@ -163,7 +160,6 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
-        self.channels = channels
         self.momentum = momentum
         self.eps = eps
         dt = default_dtype()
@@ -197,36 +193,17 @@ class Dropout(Module):
         return ops.dropout(x, self.p, self.rng)
 
 
-class MaxPool2d(Module):
-    def __init__(self, kernel: int, stride: int, padding: int = 0):
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.max_pool(x, self.kernel, self.stride, self.padding)
-
-
 class ConvBNReLU(Module):
-    """conv (no bias) -> batch norm -> relu, the dominant composite."""
+    """Stride-1 "same" conv (no bias) -> batch norm -> relu, the dominant
+    composite."""
 
     def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel: int,
-        stride: int = 1,
-        padding: int | None = None,
-        groups: int = 1,
+        self, in_channels: int, out_channels: int, kernel: int,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        if padding is None:
-            padding = kernel // 2
         self.conv = Conv2d(
-            in_channels, out_channels, kernel, stride=stride, padding=padding,
-            groups=groups, bias=False, rng=rng,
+            in_channels, out_channels, kernel, padding=kernel // 2, bias=False, rng=rng
         )
         self.bn = BatchNorm2d(out_channels)
 

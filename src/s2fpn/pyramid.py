@@ -38,12 +38,13 @@ class DepthwiseProjection(Module):
 
 
 class FeatureRefinement(Module):
-    """1x1 then 3x3 conv+BN+ReLU; squeezes the 2-wide concat back to width."""
+    """1x1 then 3x3 conv+BN+ReLU; squeezes the `2 * width` concat back to
+    `width`."""
 
-    def __init__(self, in_channels: int, out_channels: int, rng=None):
+    def __init__(self, width: int, rng=None):
         super().__init__()
-        self.conv1 = ConvBNReLU(in_channels, out_channels, 1, rng=rng)
-        self.conv3 = ConvBNReLU(out_channels, out_channels, 3, rng=rng)
+        self.conv1 = ConvBNReLU(2 * width, width, 1, rng=rng)
+        self.conv3 = ConvBNReLU(width, width, 3, rng=rng)
 
     def forward(self, x):
         return self.conv3(self.conv1(x))
@@ -83,10 +84,9 @@ class PyramidStage(Module):
     ):
         super().__init__()
         self.level = level
-        self.width = width
         self.lateral = ConvBNReLU(lateral_channels, width, 1, rng=rng)
         self.coarse_proj = Conv2d(coarse_channels, width, 1, bias=True, rng=rng)
-        self.frb = FeatureRefinement(2 * width, width, rng=rng)
+        self.frb = FeatureRefinement(width, rng=rng)
         self.crb_conv = ConvBNReLU(width, width, 3, rng=rng)
         self.coarse_conv = Conv2d(width, width, 3, padding=1, bias=True, rng=rng)
         self.cam = ChannelAttention(width, rng=rng)

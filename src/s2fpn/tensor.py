@@ -203,9 +203,6 @@ class Tensor:
         """Drop the gradient; the first one backward sends becomes `.grad`."""
         self.grad = None
 
-    def backward(self) -> None:
-        tape().backward(self)
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad_flag})"

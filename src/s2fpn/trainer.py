@@ -14,6 +14,7 @@ from .errors import ConfigError, DataError, NumericCheckError
 from .losses import total_loss
 from .metrics import ConfusionMatrix
 from .model import S2FPN
+from .nn import Dropout
 from .optim import Adam, poly_lr
 from .serialize import read_checkpoint, restore, write_checkpoint
 from .tensor import Tensor, no_grad, tape
@@ -125,8 +126,6 @@ class Trainer:
     def _reseed_dropout(self, iteration: int) -> None:
         # masks become a pure function of (seed, iteration), so a resumed
         # run draws exactly what the uninterrupted run would have drawn
-        from .nn import Dropout
-
         drops = [m for m in self.model.modules() if isinstance(m, Dropout)]
         for k, module in enumerate(drops):
             module.rng = np.random.default_rng(

@@ -109,20 +109,20 @@ class TestStripAttention:
 
 class TestChannelAttention:
     def test_zeroed_excitation_gives_half(self):
-        block = ChannelAttention(8, reduction=4, rng=np.random.default_rng(0))
+        block = ChannelAttention(8, rng=np.random.default_rng(0))
         block.excite_conv.weight.data[...] = 0.0
         block.excite_conv.bias.data[...] = 0.0
         out = block(rand_input((2, 8, 5, 5), seed=1))
         np.testing.assert_array_equal(out.data, np.full((2, 8, 1, 1), 0.5, dtype=np.float32))
 
     def test_output_strictly_inside_unit_interval(self):
-        block = ChannelAttention(8, reduction=4, rng=np.random.default_rng(2))
+        block = ChannelAttention(8, rng=np.random.default_rng(2))
         out = block(rand_input((3, 8, 6, 6), seed=3))
         assert out.shape == (3, 8, 1, 1)
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_matches_hand_rolled_loop(self):
-        block = ChannelAttention(4, reduction=4, rng=np.random.default_rng(4))
+        block = ChannelAttention(4, rng=np.random.default_rng(4))
         x = rand_input((2, 4, 3, 5), seed=5)
         ref = cam_ref(
             x.data,
@@ -135,7 +135,7 @@ class TestChannelAttention:
 
     def test_reduction_must_divide(self):
         with pytest.raises(ConfigError, match="divisible"):
-            ChannelAttention(6, reduction=4)
+            ChannelAttention(6)
 
     def test_end_to_end_gradient(self):
         res = run_checks("cam", seed=1)["cam"]

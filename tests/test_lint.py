@@ -63,6 +63,90 @@ def test_no_definition_only_tests_reach(path):
     assert unreached_definitions(path.read_text(), PRODUCT) == []
 
 
+def unreached_methods(source: str, product: str) -> list[str]:
+    """Methods and properties of `source`'s classes, dunders aside, that
+    `product` names only once, at the definition itself. The rule is by
+    name: a method that shares its name with anything else the product
+    names escapes it."""
+    methods = [
+        node.name
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    return [name for name in methods if len(re.findall(rf"\b{name}\b", product)) < 2]
+
+
+def test_detects_a_method_named_nowhere_else():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def orphan(self):\n"
+        "        return 1\n"
+    )
+    assert unreached_methods(source, source) == ["orphan"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_method_only_tests_reach(path):
+    assert unreached_methods(path.read_text(), PRODUCT) == []
+
+
+def attribute_loads(*sources: str) -> set[str]:
+    return {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+# what the product reads attributes in: the package and the benchmark
+READERS = attribute_loads(
+    *(p.read_text() for p in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+)
+
+
+def unread_attributes(source: str, reads: set[str]) -> list[str]:
+    """`self.<name> = ...` assignments whose name is in no attribute load of
+    `reads`. The rule is by name: an attribute that shares its name with
+    one read off any other object escapes it, as a `width`, `num_classes`
+    or `channels` that its own class never reads would."""
+    found = [
+        (target.lineno, target.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+        and target.attr not in reads
+    ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detects_an_attribute_read_nowhere():
+    source = (
+        "class Box:\n"
+        "    def __init__(self, other):\n"
+        "        self.read = 1\n"
+        "        self.unread = 2\n"  # line 4
+        "        other.unread = self.read\n"  # sets another object's attribute
+    )
+    assert unread_attributes(source, attribute_loads(source)) == ["line 4: unread"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_attribute_only_tests_read(path):
+    assert unread_attributes(path.read_text(), READERS) == []
+
+
 def pad4_calls(source: str) -> list[str]:
     """Lines that call `pad4`, by name or as an attribute. The checkpoint
     shape rule has one owner, `serialize.restore`."""

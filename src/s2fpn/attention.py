@@ -23,15 +23,10 @@ class StripAttention(Module):
 
     def __init__(self, channels: int, rng: np.random.Generator | None = None):
         super().__init__()
-        self.channels = channels
         self.shared_conv = Conv2d(channels, channels, 1, bias=True, rng=rng)
         self.alpha = Parameter(np.zeros((), dtype=default_dtype()))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.channels:
-            raise ConfigError(
-                f"strip attention built for {self.channels} channels, got input {x.shape}"
-            )
         z_avg = ops.strip_pool(x, "avg")
         z_max = ops.strip_pool(x, "max")
         f1 = self.shared_conv(z_avg)
@@ -58,14 +53,9 @@ class ChannelAttention(Module):
             raise ConfigError(
                 f"channel count {channels} must be divisible by reduction {REDUCTION}"
             )
-        self.channels = channels
         self.squeeze_conv = Conv2d(channels, channels // REDUCTION, 1, bias=True, rng=rng)
         self.excite_conv = Conv2d(channels // REDUCTION, channels, 1, bias=True, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.channels:
-            raise ConfigError(
-                f"channel attention built for {self.channels} channels, got input {x.shape}"
-            )
         pooled = ops.global_avg_pool(x)
         return ops.sigmoid(self.excite_conv(ops.relu(self.squeeze_conv(pooled))))

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .nn import BatchNorm2d, Conv2d, Module
 from .tensor import Tensor
 
@@ -25,8 +25,9 @@ _STAGE_STRIDES = {"r18": (1, 2, 2, 2), "r34": (1, 2, 2, 2), "r34m": (1, 1, 2, 2)
 
 
 class FeatureHierarchy(NamedTuple):
-    """The four backbone taps f2..f5, with widths `STAGE_WIDTHS` and
-    downsampling factors `Backbone.feature_strides`, in that order."""
+    """The four backbone taps f2..f5, with widths `STAGE_WIDTHS`, in that
+    order. Their downsampling factors are 4, 8, 16 and 32 (4, 4, 8 and 16
+    on r34m); the coarsest is `Backbone.max_stride`."""
 
     f2: Tensor
     f3: Tensor
@@ -82,30 +83,20 @@ class Backbone(Module):
             raise ConfigError(
                 f"unknown backbone variant {variant!r}; expected one of r18, r34, r34m"
             )
-        self.variant = variant
-        self.block_counts = _BLOCK_COUNTS[variant]
+        block_counts = _BLOCK_COUNTS[variant]
         stage_strides = _STAGE_STRIDES[variant]
         self.stem_conv = Conv2d(3, 64, 7, stride=2, padding=3, bias=False, rng=rng)
         self.stem_bn = BatchNorm2d(64)
         in_channels = 64
         for i, (width, blocks, stride) in enumerate(
-            zip(STAGE_WIDTHS, self.block_counts, stage_strides), start=1
+            zip(STAGE_WIDTHS, block_counts, stage_strides), start=1
         ):
             setattr(self, f"layer{i}", Stage(in_channels, width, blocks, stride, rng))
             in_channels = width
         # layer1 runs at the stem's stride 4; each later stage multiplies it
-        self.feature_strides = tuple(4 * int(s) for s in np.cumprod(stage_strides))
-        self.max_stride = self.feature_strides[-1]
+        self.max_stride = 4 * int(np.prod(stage_strides))
 
     def forward(self, x: Tensor) -> FeatureHierarchy:
-        if x.ndim != 4 or x.shape[1] != 3:
-            raise ShapeError(f"backbone expects (N, 3, H, W) input, got {x.shape}")
-        n, _, h, w = x.shape
-        d = self.max_stride
-        if h % d or w % d:
-            raise ShapeError(
-                f"input dims ({h}, {w}) must be divisible by {d} for variant {self.variant}"
-            )
         f2 = self.layer1(ops.max_pool(ops.relu(self.stem_bn(self.stem_conv(x))), 3, 2, 1))
         f3 = self.layer2(f2)
         f4 = self.layer3(f3)

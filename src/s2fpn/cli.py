@@ -168,7 +168,6 @@ def cmd_infer(args) -> int:
     model = S2FPN.from_config(cfg)
     load_model(args.checkpoint, model)
     image = read_ppm(args.image)
-    model.check_frame(*image.shape[:2])
     model.eval()
     with no_grad():
         logits = model(model.normalize(to_chw(image)[None]))

@@ -4,7 +4,6 @@ pyramid output, plus the classification head."""
 from __future__ import annotations
 
 from . import ops
-from .errors import ConfigError
 from .nn import Conv2d, ConvBNReLU, Module
 
 
@@ -16,18 +15,12 @@ class GlobalFeatureUpsample(Module):
 
     def __init__(self, channels: int, rng=None):
         super().__init__()
-        self.channels = channels
         self.pre_conv = Conv2d(channels, channels, 1, bias=True, rng=rng)
         self.ctx_conv = Conv2d(channels, channels, 1, bias=True, rng=rng)
         self.apf_conv = ConvBNReLU(channels, channels, 1, rng=rng)
         self.out_conv = ConvBNReLU(channels, channels, 1, rng=rng)
 
     def forward(self, x_deep, x_pyramid):
-        if x_deep.shape[1] != self.channels or x_pyramid.shape[1] != self.channels:
-            raise ConfigError(
-                f"fusion block built for {self.channels} channels, got "
-                f"{x_deep.shape} and {x_pyramid.shape}"
-            )
         up = ops.relu(ops.bilinear_upsample(x_deep, x_pyramid.shape[2], x_pyramid.shape[3]))
         pooled = ops.global_avg_pool(self.pre_conv(up))
         ctx = self.ctx_conv(pooled)

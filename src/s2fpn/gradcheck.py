@@ -181,7 +181,7 @@ def _frb(seed: int) -> dict[str, GradCheckResult]:
 
 def _apf(seed: int) -> dict[str, GradCheckResult]:
     rng = np.random.default_rng(seed)
-    stage = PyramidStage(3, lateral_channels=5, coarse_channels=6, width=4, num_classes=3, rng=rng)
+    stage = PyramidStage(lateral_channels=5, coarse_channels=6, width=4, num_classes=3, rng=rng)
     stage.ssam.alpha.data[...] = rng.standard_normal()
     return {"apf": _block_check(stage, rng, coarse=(1, 6, 2, 3), low=(1, 5, 4, 6))}
 

@@ -7,7 +7,7 @@ import numpy as np
 from . import ops
 from .backbone import STAGE_WIDTHS, build_backbone
 from .decoder import GlobalFeatureUpsample, SegHead
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .nn import Module
 from .pyramid import AttentionPyramid, DepthwiseProjection
 from .tensor import Tensor, default_dtype
@@ -86,7 +86,12 @@ class S2FPN(Module):
             )
 
     def forward(self, x: Tensor):
-        n, c, h, w = x.shape
+        # every input meets the frame rule here; the stem conv refuses any
+        # channel count but 3
+        if x.ndim != 4:
+            raise ShapeError(f"network expects an (N, 3, H, W) input, got shape {x.shape}")
+        h, w = x.shape[2:]
+        self.check_frame(h, w)
         taps = self.backbone(x)
         f5 = taps.f5
         finest, aux_logits = self.apf(taps, self.cfgb(f5))

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ops
 from .counting import current_counter
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError
 from .serialize import restore
 from .tensor import Parameter, Tensor, default_dtype
 
@@ -134,10 +134,6 @@ class Conv2d(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        if in_channels % groups or out_channels % groups:
-            raise ConfigError(
-                f"groups={groups} must divide channels ({in_channels} -> {out_channels})"
-            )
         self.stride = stride
         self.padding = padding
         self.groups = groups
@@ -158,10 +154,9 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
+        self.momentum = 0.1
         dt = default_dtype()
         self.gamma = Parameter(np.ones(channels, dtype=dt))
         self.beta = Parameter(np.zeros(channels, dtype=dt))
@@ -177,7 +172,6 @@ class BatchNorm2d(Module):
             self.running_var,
             mode="train" if self.training else "eval",
             momentum=self.momentum,
-            eps=self.eps,
         )
 
 

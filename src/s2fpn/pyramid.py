@@ -7,7 +7,6 @@ import numpy as np
 
 from . import ops
 from .backbone import STAGE_WIDTHS
-from .errors import ShapeError
 from .nn import BatchNorm2d, Conv2d, ConvBNReLU, Dropout, Module
 from .attention import ChannelAttention, StripAttention
 
@@ -30,10 +29,6 @@ class DepthwiseProjection(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x):
-        if self.stride == 2 and (x.shape[2] < 2 or x.shape[3] < 2):
-            raise ShapeError(
-                f"stride-2 projection needs spatial dims >= 2, got {x.shape}"
-            )
         return ops.relu(self.bn(self.pointwise(self.depthwise(x))))
 
 
@@ -74,7 +69,6 @@ class PyramidStage(Module):
 
     def __init__(
         self,
-        level: int,
         lateral_channels: int,
         coarse_channels: int,
         width: int,
@@ -83,7 +77,6 @@ class PyramidStage(Module):
         rng=None,
     ):
         super().__init__()
-        self.level = level
         self.lateral = ConvBNReLU(lateral_channels, width, 1, rng=rng)
         self.coarse_proj = Conv2d(coarse_channels, width, 1, bias=True, rng=rng)
         self.frb = FeatureRefinement(width, rng=rng)
@@ -95,11 +88,6 @@ class PyramidStage(Module):
         self.next_refine = Conv2d(width, width, 3, padding=1, bias=True, rng=rng)
 
     def forward(self, coarse, low):
-        if coarse.shape[2] > low.shape[2] or coarse.shape[3] > low.shape[3]:
-            raise ShapeError(
-                f"coarse feature {coarse.shape} larger than lateral feature {low.shape} "
-                f"at pyramid level {self.level}"
-            )
         lat = self.lateral(low)
         up = ops.bilinear_upsample(coarse, low.shape[2], low.shape[3])
         up = self.coarse_proj(up)
@@ -121,9 +109,7 @@ class AttentionPyramid(Module):
         super().__init__()
         coarse_channels = widths[-1]  # the seed projection already emits this width
         for level, lateral, width in reversed(tuple(zip(range(2, 6), STAGE_WIDTHS, widths))):
-            stage = PyramidStage(
-                level, lateral, coarse_channels, width, num_classes, dropout_p, rng=rng
-            )
+            stage = PyramidStage(lateral, coarse_channels, width, num_classes, dropout_p, rng=rng)
             setattr(self, str(level), stage)
             coarse_channels = width
 

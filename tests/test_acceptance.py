@@ -132,7 +132,7 @@ class TestCriterion4ScalarLoopOracles:
 
     def test_fusion_branch_oracle(self):
         stage = PyramidStage(
-            3, lateral_channels=5, coarse_channels=6, width=8, num_classes=3,
+            lateral_channels=5, coarse_channels=6, width=8, num_classes=3,
             rng=np.random.default_rng(2),
         ).eval()
         stage.ssam.alpha.data[...] = 0.31

@@ -5,7 +5,7 @@ import pytest
 
 from s2fpn import Tensor, tape, using_dtype
 from s2fpn.attention import ChannelAttention, StripAttention
-from s2fpn.errors import ConfigError
+from s2fpn.errors import ConfigError, ShapeError
 from s2fpn.gradcheck import run_checks
 from s2fpn.ops import tensor_sum
 
@@ -65,7 +65,7 @@ class TestStripAttention:
 
     def test_channel_mismatch_rejected(self):
         block = StripAttention(4, rng=np.random.default_rng(12))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             block(rand_input((1, 3, 4, 4)))
 
     def test_shared_weights_alias_single_accumulator(self):

@@ -7,8 +7,8 @@ import pytest
 
 from s2fpn import Tensor, no_grad, ops
 from s2fpn.analysis import count_params
-from s2fpn.backbone import build_backbone
-from s2fpn.errors import CheckpointError, ConfigError, ShapeError
+from s2fpn.backbone import STAGE_WIDTHS, build_backbone
+from s2fpn.errors import CheckpointError, ConfigError, DataError
 from s2fpn.model import S2FPN
 from s2fpn.serialize import load_model, read_checkpoint, write_checkpoint
 
@@ -32,14 +32,21 @@ def test_r18_parameter_total_near_11_2m():
 
 def test_r34_block_counts():
     bb = build_backbone("r34")
-    assert bb.block_counts == (3, 4, 6, 3)
     assert [getattr(bb, f"layer{i}").count for i in range(1, 5)] == [3, 4, 6, 3]
 
 
+# each tap's downsampling factor, read off its shape as input side // tap side
+TAP_STRIDES = {"r18": (4, 8, 16, 32), "r34": (4, 8, 16, 32), "r34m": (4, 4, 8, 16)}
+
+
+def tap_strides(feats, h, w):
+    return [(h // f.shape[2], w // f.shape[3]) for f in feats]
+
+
 def test_strides_per_variant():
-    assert build_backbone("r18").feature_strides == (4, 8, 16, 32)
-    assert build_backbone("r34").feature_strides == (4, 8, 16, 32)
-    assert build_backbone("r34m").feature_strides == (4, 4, 8, 16)
+    for variant, strides in TAP_STRIDES.items():
+        feats = forward(build_backbone(variant).eval(), 64, 128)
+        assert tap_strides(feats, 64, 128) == [(s, s) for s in strides]
 
 
 @pytest.mark.parametrize("variant,size", [("r18", (64, 96)), ("r18", (96, 160)), ("r34m", (64, 128))])
@@ -47,8 +54,9 @@ def test_stride_arithmetic(variant, size):
     bb = build_backbone(variant).eval()
     h, w = size
     feats = forward(bb, h, w)
-    widths = (64, 128, 256, 512)
-    for f, stride, c in zip(feats, bb.feature_strides, widths):
+    strides = TAP_STRIDES[variant]
+    assert tap_strides(feats, h, w) == [(s, s) for s in strides]
+    for f, stride, c in zip(feats, strides, STAGE_WIDTHS):
         assert f.shape == (1, c, h // stride, w // stride)
 
 
@@ -85,11 +93,11 @@ def test_r34m_f5_doubles_r34():
 
 
 def test_indivisible_input_names_requirement():
-    bb = build_backbone("r18")
-    with pytest.raises(ShapeError, match="divisible by 32"):
-        forward(bb, 60, 128)
-    with pytest.raises(ShapeError, match="divisible by 16"):
-        forward(build_backbone("r34m"), 56, 120)
+    # the frame rule belongs to the network; a standalone backbone runs at any size
+    with pytest.raises(DataError, match="divisible by 32"):
+        forward(S2FPN("r18", 32, 3, seed=0).eval(), 60, 128)
+    with pytest.raises(DataError, match="divisible by 16"):
+        forward(S2FPN("r34m", 32, 3, seed=0).eval(), 56, 120)
 
 
 def test_fresh_model_eval_zero_input_finite():

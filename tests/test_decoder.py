@@ -6,7 +6,7 @@ import pytest
 from s2fpn import Tensor, no_grad, tape, using_dtype
 from s2fpn.config import RunConfig
 from s2fpn.decoder import GlobalFeatureUpsample
-from s2fpn.errors import ConfigError
+from s2fpn.errors import ShapeError
 from s2fpn.gradcheck import run_checks
 from s2fpn.losses import total_loss
 from s2fpn.model import S2FPN
@@ -91,7 +91,7 @@ class TestGlobalFeatureUpsample:
 
     def test_channel_mismatch_rejected(self):
         block = GlobalFeatureUpsample(4, rng=np.random.default_rng(4))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             block(rand((1, 3, 2, 2)), rand((1, 4, 4, 4)))
 
     def test_end_to_end_gradient(self):

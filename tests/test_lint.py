@@ -289,3 +289,47 @@ def test_network_modules_name_no_float_type(name):
 def test_readme_gradcheck_usage_lists_every_scope():
     [usage] = re.findall(r"s2fpn gradcheck \[([^\]]*)\]", (ROOT / "README.md").read_text())
     assert usage.split("|") == ["all", *CHECKS]
+
+
+# a block's shape rules have one owner each: the frame rule is
+# `S2FPN.forward`'s, and each op refuses the operands it cannot take
+_BLOCK_MODULES = ("backbone", "pyramid", "attention", "decoder")
+
+
+def raising_forwards(source: str) -> list[str]:
+    """`Class.forward` methods that contain a `raise`; other methods, such
+    as an `__init__` that refuses its arguments, do not count."""
+    return [
+        f"{cls.name}.forward"
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name == "forward"
+        and any(isinstance(node, ast.Raise) for node in ast.walk(fn))
+    ]
+
+
+def test_detects_a_raising_forward():
+    source = (
+        "class Checked:\n"
+        "    def __init__(self, c):\n"
+        "        if c % 4:\n"
+        "            raise ConfigError(c)\n"
+        "\n"
+        "    def forward(self, x):\n"
+        "        if x.shape[1] != 4:\n"
+        "            raise ShapeError(x.shape)\n"
+        "        return x\n"
+        "\n"
+        "\n"
+        "class Plain:\n"
+        "    def forward(self, x):\n"
+        "        return ops.relu(x)\n"
+    )
+    assert raising_forwards(source) == ["Checked.forward"]
+
+
+@pytest.mark.parametrize("name", _BLOCK_MODULES)
+def test_blocks_leave_shape_rules_to_the_network_and_ops(name):
+    assert raising_forwards((PACKAGE / f"{name}.py").read_text()) == []

@@ -5,11 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
-from s2fpn import no_grad, ops, using_dtype
+from s2fpn import Tensor, no_grad, ops, using_dtype
 from s2fpn.analysis import benchmark_latency, count_flops
 from s2fpn.config import RunConfig
 from s2fpn.dataset import SegDataset
-from s2fpn.errors import DataError
+from s2fpn.errors import DataError, ShapeError
 from s2fpn.model import S2FPN
 from s2fpn.synthetic import make_toy_corpus
 from s2fpn.trainer import Trainer
@@ -74,6 +74,25 @@ class TestFrameRule:
         model = S2FPN(variant, pyramid_width=32, num_classes=3, seed=0)
         with pytest.raises(DataError, match=rf"\({dims[0]}, {dims[1]}\)"):
             model.check_frame(*dims)
+
+    @pytest.mark.parametrize("variant, dims", [("r18", (32, 64)), ("r18", (60, 128)),
+                                               ("r34m", (56, 120))])
+    @pytest.mark.parametrize("path", ["forward", "count_flops", "benchmark_latency"])
+    def test_every_path_into_the_network_applies_the_rule(self, variant, dims, path):
+        model = S2FPN(variant, pyramid_width=32, num_classes=3, seed=0).eval()
+        shape = (1, 3, *dims)
+        run = {
+            "forward": lambda: model(model.normalize(images(*dims))),
+            "count_flops": lambda: count_flops(model, shape),
+            "benchmark_latency": lambda: benchmark_latency(model, shape, warmup=1, iters=1),
+        }[path]
+        with pytest.raises(DataError, match=rf"\({dims[0]}, {dims[1]}\)"):
+            run()
+
+    def test_input_without_a_batch_axis_is_shape_error(self):
+        model = S2FPN("r18", pyramid_width=32, num_classes=3, seed=0)
+        with pytest.raises(ShapeError, match=r"\(3, 64, 64\)"):
+            model(Tensor(np.zeros((3, 64, 64))))
 
 
 def test_backbone_taps_die_before_the_decoder():

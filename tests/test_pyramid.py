@@ -1,10 +1,8 @@
 """Pyramid adapters and fusion stages: shapes, annihilation, recomposition."""
 
 import numpy as np
-import pytest
 
 from s2fpn import Tensor, no_grad
-from s2fpn.errors import ShapeError
 from s2fpn.gradcheck import run_checks
 from s2fpn.model import S2FPN
 from s2fpn.pyramid import DepthwiseProjection, PyramidStage
@@ -31,11 +29,6 @@ class TestDepthwiseProjections:
         block = DepthwiseProjection(8, 12, stride=1, rng=np.random.default_rng(2)).eval()
         assert block(rand((1, 8, 16, 32))).shape == (1, 12, 16, 32)
 
-    def test_tiny_input_rejected_for_stride2(self):
-        block = DepthwiseProjection(4, 4, stride=2, rng=np.random.default_rng(3))
-        with pytest.raises(ShapeError, match=">= 2"):
-            block(rand((1, 4, 1, 1)))
-
     def test_depthwise_stage_matches_groups_oracle(self):
         block = DepthwiseProjection(3, 5, stride=2, rng=np.random.default_rng(4))
         x = np.random.default_rng(5).standard_normal((1, 3, 6, 8))
@@ -53,7 +46,7 @@ class TestDepthwiseProjections:
 
 def small_stage(seed=0, width=8):
     return PyramidStage(
-        3, lateral_channels=6, coarse_channels=10, width=width, num_classes=4,
+        lateral_channels=6, coarse_channels=10, width=width, num_classes=4,
         rng=np.random.default_rng(seed),
     ).eval()
 
@@ -71,11 +64,6 @@ class TestPyramidStage:
         stage = small_stage()
         out, aux = stage(rand((1, 10, 16, 24), 3), rand((1, 6, 16, 24), 4))
         assert out.shape == (1, 8, 16, 24)
-
-    def test_coarse_larger_than_low_rejected(self):
-        stage = small_stage()
-        with pytest.raises(ShapeError, match="larger"):
-            stage(rand((1, 10, 32, 48), 5), rand((1, 6, 16, 24), 6))
 
     def test_forced_zero_channel_gate_annihilates_branch_a(self):
         stage = small_stage(seed=7)

@@ -31,7 +31,7 @@ class StripAttention(Module):
         z_max = ops.strip_pool(x, "max")
         f1 = self.shared_conv(z_avg)
         f2 = self.shared_conv(z_max)
-        attention = ops.softmax(f1 * f2, "H")
+        attention = ops.softmax(f1 * f2)
         scaled = attention * f1 + attention * f2
         # alpha * scaled + (1 - alpha) * x, written so every term is batched
         return x + self.alpha * (scaled - x)

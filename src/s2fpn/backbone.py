@@ -38,9 +38,9 @@ class FeatureHierarchy(NamedTuple):
 class BasicBlock(Module):
     def __init__(self, in_channels, out_channels, stride, rng):
         super().__init__()
-        self.conv1 = Conv2d(in_channels, out_channels, 3, stride=stride, padding=1, bias=False, rng=rng)
+        self.conv1 = Conv2d(in_channels, out_channels, 3, stride=stride, bias=False, rng=rng)
         self.bn1 = BatchNorm2d(out_channels)
-        self.conv2 = Conv2d(out_channels, out_channels, 3, stride=1, padding=1, bias=False, rng=rng)
+        self.conv2 = Conv2d(out_channels, out_channels, 3, stride=1, bias=False, rng=rng)
         self.bn2 = BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
             self.down_conv = Conv2d(in_channels, out_channels, 1, stride=stride, bias=False, rng=rng)
@@ -85,7 +85,7 @@ class Backbone(Module):
             )
         block_counts = _BLOCK_COUNTS[variant]
         stage_strides = _STAGE_STRIDES[variant]
-        self.stem_conv = Conv2d(3, 64, 7, stride=2, padding=3, bias=False, rng=rng)
+        self.stem_conv = Conv2d(3, 64, 7, stride=2, bias=False, rng=rng)
         self.stem_bn = BatchNorm2d(64)
         in_channels = 64
         for i, (width, blocks, stride) in enumerate(

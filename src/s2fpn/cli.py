@@ -198,16 +198,10 @@ def cmd_analyze(args) -> int:
     report = count_flops(model, shape)
     if args.latency:
         report.latency = benchmark_latency(
-            model, shape, warmup=args.warmup, iters=args.iters, seed=cfg.seed, threads=1
+            model, shape, warmup=args.warmup, iters=args.iters, seed=cfg.seed,
+            threads=args.threads or 1,
         )
     print(report.to_text())
-    if args.latency and args.threads and args.threads != 1:
-        # single-thread baseline above; parallel-kernel numbers alongside
-        parallel = benchmark_latency(
-            model, shape, warmup=args.warmup, iters=args.iters, seed=cfg.seed,
-            threads=args.threads,
-        )
-        print(f"latency (--threads {args.threads}): {parallel.to_text()}")
     if args.csv:
         Path(args.csv).write_text(report.to_csv() + "\n")
         print(f"csv written to {args.csv}")

@@ -122,20 +122,22 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Conv2d(Module):
+    """A "same" convolution: it pads `kernel // 2`, so at stride 1 an odd
+    kernel keeps H and W."""
+
     def __init__(
         self,
         in_channels: int,
         out_channels: int,
         kernel: int,
         stride: int = 1,
-        padding: int = 0,
         groups: int = 1,
         bias: bool = True,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
         self.stride = stride
-        self.padding = padding
+        self.padding = kernel // 2
         self.groups = groups
         rng = rng or np.random.default_rng(0)
         fan_in = (in_channels // groups) * kernel * kernel
@@ -196,9 +198,7 @@ class ConvBNReLU(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        self.conv = Conv2d(
-            in_channels, out_channels, kernel, padding=kernel // 2, bias=False, rng=rng
-        )
+        self.conv = Conv2d(in_channels, out_channels, kernel, bias=False, rng=rng)
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ from .counting import current_counter
 from .errors import ShapeError, StateError
 from .tensor import Tensor, as_tensor, check_output, grad_enabled, tape
 
-_AXIS_NAMES = {"C": 1, "H": 2, "W": 3}
+BN_EPS = 1e-5  # batch norm's variance floor
 
 
 def _make(data, inputs, backward, op: str, flops: int = 0) -> Tensor:
@@ -98,19 +98,14 @@ def mul(a, b) -> Tensor:
     return elementwise(a, b, "mul")
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join along channels."""
     tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=1)
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
 
     def backward(g):
-        slicer = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(sizes)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(np.ascontiguousarray(g[tuple(slicer)]))
-        return tuple(grads)
+        return tuple(np.ascontiguousarray(g[:, lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
 
     return _make(data, tuple(tensors), backward, "concat")
 
@@ -169,22 +164,19 @@ def sigmoid(x) -> Tensor:
     return _make(out, (x,), backward, "sigmoid", 4 * x.size)
 
 
-def softmax(x, axis) -> Tensor:
-    """Max-subtracted softmax; slices along `axis` sum to one."""
+def softmax(x) -> Tensor:
+    """Max-subtracted softmax over H, the strip axis: each (n, c, :, w)
+    column sums to one."""
     x = as_tensor(x)
-    if isinstance(axis, str):
-        try:
-            axis = _AXIS_NAMES[axis.upper()]
-        except KeyError:
-            raise ValueError(f"softmax axis must be C, H, or W, got {axis!r}") from None
-    if x.shape[axis] < 1:
-        raise ShapeError(f"softmax axis {axis} is empty for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    _require_nchw(x, "softmax")
+    if x.shape[2] < 1:
+        raise ShapeError(f"softmax over H needs H >= 1, got shape {x.shape}")
+    shifted = x.data - x.data.max(axis=2, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=2, keepdims=True)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=2, keepdims=True)
         return (np.ascontiguousarray((g - inner) * out),)
 
     return _make(out, (x,), backward, "softmax", 5 * x.size)
@@ -521,7 +513,6 @@ def batch_norm(
     running_var,
     mode: str = "train",
     momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel normalization over (N, H, W).
 
@@ -535,8 +526,6 @@ def batch_norm(
     gamma = as_tensor(gamma, dtype=x.dtype.type)
     beta = as_tensor(beta, dtype=x.dtype.type)
     _require_nchw(x, "batch_norm")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
@@ -561,7 +550,7 @@ def batch_norm(
         raise ValueError(f"batch_norm mode must be train or eval, got {mode!r}")
     shape = (1, c, 1, 1)
     mean = mean.reshape(shape)
-    inv_std = (1.0 / np.sqrt(var + eps)).reshape(shape)
+    inv_std = (1.0 / np.sqrt(var + BN_EPS)).reshape(shape)
     scale = gamma.data.reshape(shape) * inv_std
     out = x.data - mean
     out *= scale

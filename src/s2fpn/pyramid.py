@@ -22,8 +22,7 @@ class DepthwiseProjection(Module):
         super().__init__()
         self.stride = stride
         self.depthwise = Conv2d(
-            in_channels, in_channels, 3, stride=stride, padding=1,
-            groups=in_channels, bias=False, rng=rng,
+            in_channels, in_channels, 3, stride=stride, groups=in_channels, bias=False, rng=rng
         )
         self.pointwise = Conv2d(in_channels, out_channels, 1, bias=False, rng=rng)
         self.bn = BatchNorm2d(out_channels)
@@ -50,7 +49,7 @@ class AuxHead(Module):
 
     def __init__(self, channels: int, num_classes: int, dropout_p: float = 0.1, rng=None):
         super().__init__()
-        self.conv = Conv2d(channels, channels, 3, padding=1, bias=True, rng=rng)
+        self.conv = Conv2d(channels, channels, 3, bias=True, rng=rng)
         drop_rng = np.random.default_rng(int(rng.integers(2**32))) if rng is not None else None
         self.dropout = Dropout(dropout_p, rng=drop_rng)
         self.proj = Conv2d(channels, num_classes, 1, bias=True, rng=rng)
@@ -81,17 +80,17 @@ class PyramidStage(Module):
         self.coarse_proj = Conv2d(coarse_channels, width, 1, bias=True, rng=rng)
         self.frb = FeatureRefinement(width, rng=rng)
         self.crb_conv = ConvBNReLU(width, width, 3, rng=rng)
-        self.coarse_conv = Conv2d(width, width, 3, padding=1, bias=True, rng=rng)
+        self.coarse_conv = Conv2d(width, width, 3, bias=True, rng=rng)
         self.cam = ChannelAttention(width, rng=rng)
         self.ssam = StripAttention(width, rng=rng)
         self.head = AuxHead(width, num_classes, dropout_p, rng=rng)
-        self.next_refine = Conv2d(width, width, 3, padding=1, bias=True, rng=rng)
+        self.next_refine = Conv2d(width, width, 3, bias=True, rng=rng)
 
     def forward(self, coarse, low):
         lat = self.lateral(low)
         up = ops.bilinear_upsample(coarse, low.shape[2], low.shape[3])
         up = self.coarse_proj(up)
-        refined = self.frb(ops.concat([up, lat], axis=1))
+        refined = self.frb(ops.concat([up, lat]))
         gate = self.cam(refined)
         x_a = self.crb_conv(lat) * gate
         x_b = self.coarse_conv(up) * self.ssam(refined)

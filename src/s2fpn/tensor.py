@@ -214,15 +214,15 @@ class Parameter(Tensor):
     """A trainable leaf tensor. Its `.grad` is None until backward sends
     it a gradient, so a model that only runs forward holds no gradients.
 
-    `name` is assigned when the parameter is registered on a module and is
-    unique within a model, which is what makes checkpoints round-trip.
+    `name` is None until `Module.assign_parameter_names` stamps the dotted
+    name, unique within a model, which is what makes checkpoints round-trip.
     """
 
     __slots__ = ("name",)
 
-    def __init__(self, data, name: str | None = None, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
-        self.name = name
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
+        self.name = None
 
     def __repr__(self) -> str:
         label = self.name or "<unnamed>"

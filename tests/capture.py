@@ -12,7 +12,7 @@ import contextlib
 
 import numpy as np
 
-from s2fpn import Parameter, no_grad, ops, tape
+from s2fpn import Parameter, Tensor, no_grad, ops, tape
 from s2fpn.losses import ohem_cross_entropy
 
 
@@ -46,7 +46,7 @@ def strip_attention_parts(block, x):
         out = block(x)
     ((z_avg,), f1), ((z_max,), f2) = calls["shared_conv"]
     with no_grad():
-        attention = ops.softmax(f1 * f2, "H")
+        attention = ops.softmax(f1 * f2)
         scaled = attention * f1 + attention * f2
         recomposed = x + block.alpha * (scaled - x)
     assert np.array_equal(out.data, recomposed.data), "strip attention recomposition differs"
@@ -107,7 +107,7 @@ def ohem_selection(logits, labels, **kwargs):
     """Run `ohem_cross_entropy` on float64 `logits` and its backward; return
     (loss, flat indices of the selected pixels). A pixel is selected when
     its column of the logit gradient is non-zero."""
-    leaf = Parameter(logits, dtype=np.float64)
+    leaf = Parameter(Tensor(logits, dtype=np.float64))
     loss = ohem_cross_entropy(leaf, labels, **kwargs)
     tape().backward(loss)
     return loss, set(np.flatnonzero(np.abs(leaf.grad).sum(axis=1)))

@@ -21,7 +21,7 @@ from s2fpn.serialize import read_checkpoint, write_checkpoint
 class OneConv(Module):
     def __init__(self, cin, cout, k, bias):
         super().__init__()
-        self.conv = Conv2d(cin, cout, k, padding=k // 2, bias=bias)
+        self.conv = Conv2d(cin, cout, k, bias=bias)
         self.assign_parameter_names()
 
     def forward(self, x):

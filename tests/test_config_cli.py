@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s2fpn.blas import blas_threads
 from s2fpn.cli import main
 from s2fpn.config import _KEY_MAP, _RANGES, RunConfig, parse_config, parse_config_text
 from s2fpn.dataset import SegDataset
@@ -394,6 +395,15 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "backbone" in out and "total" in out
         assert csv_path.read_text().startswith("module,params,flops")
+
+    def test_analyze_latency_times_once_under_the_thread_cap(self, capsys):
+        argv = ["--threads", "2", "analyze", "--height", "64", "--width", "128",
+                "--latency", "--warmup", "0", "--iters", "1"]
+        assert main(argv) == 0
+        [line] = [line for line in capsys.readouterr().out.splitlines() if "latency" in line]
+        assert line.startswith("latency: ")
+        if blas_threads() is not None:
+            assert line.endswith("BLAS threads 2)")
 
     def test_gradcheck_command(self, capsys):
         code = main(["gradcheck", "cam", "--seeds", "1"])

@@ -107,10 +107,10 @@ def attribute_loads(*sources: str) -> set[str]:
     }
 
 
-# what the product reads attributes in: the package and the benchmark
-READERS = attribute_loads(
-    *(p.read_text() for p in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
-)
+# the product's code, which reads attributes and calls functions: the
+# package and the benchmark
+CODE = [p.read_text() for p in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]]
+READERS = attribute_loads(*CODE)
 
 
 def unread_attributes(source: str, reads: set[str]) -> list[str]:
@@ -333,3 +333,116 @@ def test_detects_a_raising_forward():
 @pytest.mark.parametrize("name", _BLOCK_MODULES)
 def test_blocks_leave_shape_rules_to_the_network_and_ops(name):
     assert raising_forwards((PACKAGE / f"{name}.py").read_text()) == []
+
+
+def _called_name(func) -> str | None:
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def call_sites(*sources: str) -> list[tuple[str, int, set[str] | None]]:
+    """Every call in `sources` as (callee, positional count, keyword
+    names); the keywords are None where a `*args` or `**kwargs` passes
+    every parameter. The callee is the called name or attribute, except
+    that `cls(...)` inside a class calls that class, and a call to a class
+    without its own `__init__` calls its base's."""
+    trees = [ast.parse(source) for source in sources]
+    classes = {n.name: n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+
+    def init_owner(name):
+        seen = set()  # a subclass may share its base's name
+        while name in classes and name not in seen and classes[name].bases and not any(
+            isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in classes[name].body
+        ):
+            seen.add(name)
+            name = _called_name(classes[name].bases[0])
+        return name
+
+    calls = []
+
+    def visit(node, cls_name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = _called_name(child.func)
+                name = init_owner(cls_name if name == "cls" and cls_name else name)
+                spread = any(isinstance(a, ast.Starred) for a in child.args) or any(
+                    kw.arg is None for kw in child.keywords
+                )
+                keywords = None if spread else {kw.arg for kw in child.keywords}
+                calls.append((name, len(child.args), keywords))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls_name)
+
+    for tree in trees:
+        visit(tree, None)
+    return calls
+
+
+def unpassed_defaults(source: str, calls) -> list[str]:
+    """Parameters with a default in `source`'s functions and methods that
+    no call in `calls` passes, as `function(parameter)`. The rule is by
+    name: a method is matched by its own name and `__init__` by its class's,
+    so a parameter that any same-named callee is passed escapes it."""
+    tree = ast.parse(source)
+    methods = {
+        id(fn): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        defaulted = positional[len(positional) - len(fn.args.defaults):] + [
+            a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+        ]
+        cls = methods.get(id(fn))
+        if cls is not None and not any(_called_name(d) == "staticmethod" for d in fn.decorator_list):
+            positional = positional[1:]  # `self` or `cls` is bound, not passed
+        callee = cls if fn.name == "__init__" else fn.name
+        label = callee if fn.name == "__init__" or cls is None else f"{cls}.{fn.name}"
+        found += [
+            f"{label}({param})"
+            for param in defaulted
+            if not any(
+                name == callee and (keywords is None or param in keywords or param in positional[:count])
+                for name, count, keywords in calls
+            )
+        ]
+    return found
+
+
+CALLS = call_sites(*CODE)
+
+
+def test_detects_a_default_no_call_passes():
+    source = (
+        "def scale(x, factor=2, offset=0, power=1):\n"
+        "    return x\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        "    def __init__(self, size, fill=0):\n"
+        "        pass\n"
+        "\n"
+        "    @classmethod\n"
+        "    def empty(cls, size, border=0):\n"
+        "        return cls(size, border)\n"  # Box(fill) by position via cls
+        "\n"
+        "\n"
+        "class Crate(Box):\n"
+        "    def lid(self, shut=True, locked=False):\n"
+        "        return scale(1, 3, power=2)\n"  # factor by position, power by keyword
+        "\n"
+        "\n"
+        "def pack(*args, **kwargs):\n"
+        "    Crate.empty(1, border=1)\n"
+        "    Crate(2).lid(*args)\n"  # a subclass's constructor; `*args` passes every parameter
+    )
+    assert unpassed_defaults(source, call_sites(source)) == ["scale(offset)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_default_is_passed_by_some_call(path):
+    assert unpassed_defaults(path.read_text(), CALLS) == []

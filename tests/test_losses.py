@@ -119,7 +119,7 @@ class TestOhem:
         labels[rng.random(labels.shape) < ignored] = 255
 
         def run(upsample_first):
-            leaf = Parameter(x.copy(), dtype=np.float64)
+            leaf = Parameter(x.copy())
             logits = ops.bilinear_upsample(leaf, 64, 128) if upsample_first else leaf
             loss = ohem_cross_entropy(logits, labels, min_kept=100)
             tape().backward(loss)

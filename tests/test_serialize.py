@@ -21,7 +21,7 @@ class SmallNet(Module):
     def __init__(self, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+        self.conv = Conv2d(3, 4, 3, rng=rng)
         self.bn = BatchNorm2d(4)
         self.assign_parameter_names()
 
@@ -244,7 +244,7 @@ class TrainerState(Module):
 
     def __init__(self):
         super().__init__()
-        self.conv = Conv2d(128, 128, 3, padding=1, rng=np.random.default_rng(0))
+        self.conv = Conv2d(128, 128, 3, rng=np.random.default_rng(0))
         self.bn = BatchNorm2d(128)
         self.assign_parameter_names()
 

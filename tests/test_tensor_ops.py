@@ -10,7 +10,7 @@ from s2fpn.backbone import BasicBlock
 from s2fpn.errors import NumericCheckError, ShapeError, StateError
 from s2fpn.gradcheck import grad_check
 from s2fpn.losses import ohem_cross_entropy
-from s2fpn.nn import Dropout
+from s2fpn.nn import Conv2d, Dropout
 from s2fpn.ops import _im2col
 
 from oracles import (
@@ -294,10 +294,9 @@ class TestBatchNorm:
         rng = np.random.default_rng(2)
         x = t(rng.standard_normal((2, 3, 4, 4)))
         out = ops.batch_norm(
-            x, t(np.ones(3)), t(np.zeros(3)), t(np.zeros(3)), t(np.ones(3)),
-            mode="eval", eps=1e-12,
+            x, t(np.ones(3)), t(np.zeros(3)), t(np.zeros(3)), t(np.ones(3)), mode="eval"
         )
-        np.testing.assert_allclose(out.data, x.data, atol=1e-5)
+        np.testing.assert_allclose(out.data, x.data / np.sqrt(1 + ops.BN_EPS), atol=1e-5)
 
     def test_train_constant_input_gives_beta(self):
         beta = np.array([0.5, -1.5], dtype=np.float32)
@@ -313,12 +312,13 @@ class TestBatchNorm:
         beta = np.array([0.0, -1.0, 3.0])
         out = ops.batch_norm(
             x, Tensor(gamma, dtype=np.float64), Tensor(beta, dtype=np.float64),
-            None, None, mode="train", eps=1e-12,
+            None, None, mode="train",
         )
         mean = out.data.mean(axis=(0, 2, 3))
         std = out.data.std(axis=(0, 2, 3))
+        var = x.data.var(axis=(0, 2, 3))
         np.testing.assert_allclose(mean, beta, atol=1e-5)
-        np.testing.assert_allclose(std, gamma, atol=1e-5)
+        np.testing.assert_allclose(std, gamma * np.sqrt(var / (var + ops.BN_EPS)), atol=1e-5)
 
     def test_running_stats_updated(self):
         rng = np.random.default_rng(4)
@@ -493,7 +493,7 @@ class TestBilinear:
     def test_backward_is_the_adjoint(self, out_hw):
         # <up(x), g> = <x, up^T(g)>, with up^T read off the tape
         rng = np.random.default_rng(10)
-        x = Parameter(rng.standard_normal((2, 3, 4, 5)), dtype=np.float64)
+        x = Parameter(rng.standard_normal((2, 3, 4, 5)))
         g = rng.standard_normal((2, 3, *out_hw))
         up = ops.bilinear_upsample(x, *out_hw)
         tape().backward(ops.tensor_sum(up * Tensor(g, dtype=np.float64)))
@@ -509,21 +509,39 @@ class TestBilinear:
 class TestSoftmax:
     def test_uniform_gives_equal_mass(self):
         x = t(np.full((1, 2, 5, 3), 0.7))
-        out = ops.softmax(x, "H")
+        out = ops.softmax(x)
         np.testing.assert_allclose(out.data, 0.2, rtol=1e-6)
 
     def test_analytic_two_logits(self):
         x = t(np.array([0.0, np.log(3.0)]).reshape(1, 1, 2, 1))
-        out = ops.softmax(x, "H")
+        out = ops.softmax(x)
         np.testing.assert_allclose(out.data.reshape(2), [0.25, 0.75], rtol=1e-6)
 
     def test_slices_sum_to_one(self):
         rng = np.random.default_rng(9)
         x = t(rng.standard_normal((2, 3, 6, 4)) * 30)
-        for axis in ("C", "H", "W"):
-            out = ops.softmax(x, axis)
-            sums = out.data.sum(axis={"C": 1, "H": 2, "W": 3}[axis])
-            np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+        sums = ops.softmax(x).data.sum(axis=2)
+        np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "op, spec",
+    [
+        pytest.param("softmax", (2, 3, 4), id="softmax-refuses-3d"),
+        pytest.param("softmax", (1, 2, 0, 3), id="softmax-refuses-empty-h"),
+        *(pytest.param("conv", (k, s), id=f"conv-k{k}-s{s}") for k in (1, 3, 7) for s in (1, 2)),
+    ],
+)
+def test_fixed_axis_and_padding_contracts(op, spec):
+    """softmax takes an (N, C, H, W) input with H >= 1; Conv2d pads
+    kernel // 2, so stride 1 keeps H and W and stride 2 halves them."""
+    if op == "softmax":
+        with pytest.raises(ShapeError):
+            ops.softmax(t(np.zeros(spec)))
+        return
+    kernel, stride = spec
+    conv = Conv2d(4, 4, kernel, stride=stride, rng=np.random.default_rng(0))
+    assert conv(t(np.zeros((1, 4, 8, 12)))).shape == (1, 4, 8 // stride, 12 // stride)
 
 
 class TestElementwise:
@@ -637,7 +655,7 @@ class TestDeterminism:
             h = ops.conv2d(x, w, stride=1, padding=1)
             h = ops.batch_norm(h, t(np.ones(4)), t(np.zeros(4)), None, None, mode="train")
             h = ops.max_pool(h, 2, 2, 0)
-            return ops.softmax(h, "C").data
+            return ops.softmax(h).data
 
         first, second = run(), run()
         assert np.array_equal(first, second)

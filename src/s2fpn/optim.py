@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ import numpy as np
 from .serialize import restore
 from .tensor import Parameter
 
-# elements per Adam chunk: 256 KiB of float32, so the six arrays one chunk
-# touches (g, m, v, theta and two scratch buffers) fit in a 2 MiB L2
+# elements per Adam chunk: 256 KiB of float32, so the five arrays one chunk
+# touches (g, m, v, theta and the scratch buffer) fit in a 2 MiB L2
 _CHUNK = 1 << 16
 
 
@@ -29,7 +30,7 @@ def poly_lr(iteration: int, max_iter: int, base_lr: float, power: float = 0.9) -
 
 class Adam:
     """Standard bias-corrected Adam; weight decay is decoupled (applied as
-    lr * wd * theta directly on the parameter, outside the moments)."""
+    theta *= 1 - lr * wd directly on the parameter, outside the moments)."""
 
     def __init__(
         self,
@@ -40,10 +41,11 @@ class Adam:
         weight_decay: float = 0.0,
     ):
         self.params: list[Parameter] = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+        # Python floats: a numpy float64 scalar would run float32 chunks in float64
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -54,44 +56,48 @@ class Adam:
 
     def step(self, lr: float) -> None:
         """One update, run over flat `_CHUNK`-element slices of each parameter
-        with `out=` ufuncs into two chunk-sized scratch buffers, so each
+        with `out=` ufuncs into one chunk-sized scratch buffer, so each
         parameter-sized array leaves memory once per step and a step
         allocates no parameter-sized temporaries. Every op is elementwise,
-        so the chunks change no result. The operation order is fixed for
-        bit-exact resume: (m/bc1) / (sqrt(v/bc2) + eps), then + wd*theta,
-        then * lr. A parameter whose `.grad` is None is skipped.
+        so the chunks change no result. The bias corrections are folded
+        into the step size and eps (Kingma & Ba, section 2), and the decay
+        into one factor; the operation order is fixed for bit-exact resume:
+        theta *= 1 - lr*wd (skipped when wd is 0), then
+        theta -= (m / (sqrt(v) + eps*sqrt(bc2))) * (lr*sqrt(bc2)/bc1).
+        Every scalar is a Python float, so float32 chunks stay float32. A
+        parameter whose `.grad` is None is skipped.
         """
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+        b1, b2, lr = self.beta1, self.beta2, float(lr)
+        root_bc2 = math.sqrt(1.0 - b2**t)
+        step_size = lr * root_bc2 / (1.0 - b1**t)
+        eps = self.eps * root_bc2
+        decay = 1.0 - lr * self.weight_decay
+        scratch: dict[np.dtype, np.ndarray] = {}
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             if m.dtype not in scratch:
-                scratch[m.dtype] = (np.empty(_CHUNK, m.dtype), np.empty(_CHUNK, m.dtype))
+                scratch[m.dtype] = np.empty(_CHUNK, m.dtype)
             flat = [x.reshape(-1) for x in (p.grad, m, v, p.data)]
             for s in range(0, m.size, _CHUNK):
                 g, m_s, v_s, theta = (x[s : s + _CHUNK] for x in flat)
-                a, b = (buf[: g.size] for buf in scratch[m.dtype])
-                np.multiply(g, 1.0 - self.beta1, out=a)
-                m_s *= self.beta1
+                a = scratch[m.dtype][: g.size]
+                np.multiply(g, 1.0 - b1, out=a)
+                m_s *= b1
                 m_s += a
                 np.square(g, out=a)
-                a *= 1.0 - self.beta2
-                v_s *= self.beta2
+                a *= 1.0 - b2
+                v_s *= b2
                 v_s += a
-                np.divide(v_s, bc2, out=a)
-                np.sqrt(a, out=a)
-                a += self.eps
-                np.divide(m_s, bc1, out=b)
-                b /= a
+                np.sqrt(v_s, out=a)
+                a += eps
+                np.divide(m_s, a, out=a)
+                a *= step_size
                 if self.weight_decay:
-                    np.multiply(theta, self.weight_decay, out=a)
-                    b += a
-                b *= lr
-                theta -= b
+                    theta *= decay
+                theta -= a
 
     def moments(self):
         """(checkpoint name, array) of every first and second moment."""

@@ -165,6 +165,25 @@ class TestTrainerRoundTrip:
         _, losses_resumed = resumed.train_step(start)
         assert losses_resumed[0] == pytest.approx(losses_straight[0], abs=1e-12)
 
+    def test_forward_runs_without_the_last_steps_gradients(self, toy_setup, tmp_path):
+        base, root, config = toy_setup
+        cfg = parse_config(config)
+        cfg.out_dir = str(tmp_path / "run")
+        trainer = Trainer(cfg, SegDataset(root))
+        trainer.train_step(0)
+        params = list(trainer.model.parameters())
+        assert any(p.grad is not None for p in params)
+        forward, alive = trainer.model.forward, []
+
+        def spy(*args, **kwargs):
+            alive.extend(p for p in params if p.grad is not None)
+            return forward(*args, **kwargs)
+
+        trainer.model.forward = spy
+        trainer.train_step(1)
+        assert not alive, f"{len(alive)} parameters still held a gradient"
+        assert any(p.grad is not None for p in params)
+
     def test_resume_refuses_missing_adam_moment(self, toy_setup, tmp_path, capsys):
         base, root, config = toy_setup
         cfg = parse_config(config)
@@ -295,7 +314,7 @@ class TestNonFiniteLoss:
         cfg.out_dir = str(tmp_path / "nan")
         trainer = Trainer(cfg, SegDataset(root))
         trainer.train_step(0)
-        params = trainer.model.parameters()
+        params = list(trainer.model.parameters())
         before = [p.data.copy() for p in params]
         _poison_inputs(monkeypatch)
         with pytest.raises(NumericCheckError, match="iteration 1"):

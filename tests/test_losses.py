@@ -1,6 +1,7 @@
 """Hard-pixel mining, combined loss, schedule, optimizer, augmentation."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -224,7 +225,9 @@ class TestAdam:
 
     def test_steps_bit_equal_to_update_written_out(self):
         # float32 and float64, with and without decay; a parameter that
-        # spans two whole chunks and a partial one, and a 0-d parameter
+        # spans two whole chunks and a partial one, and a 0-d parameter.
+        # The scalars are Python floats: a float64 one would run the
+        # float32 case in float64 and break its bit-equality.
         b1, b2, eps = 0.9, 0.999, 1e-8
         shapes = ((4, 3, 3, 3), (2 * _CHUNK + 3,), ())
         for dtype, wd, shape in itertools.product((np.float32, np.float64), (0.0, 0.05), shapes):
@@ -234,17 +237,23 @@ class TestAdam:
             theta = Parameter(start.copy())
             opt = Adam([theta], beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
             ref, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+            textbook = start.astype(np.float64)
             for step, (g, lr) in enumerate(zip(grads, (1e-2, 5e-3, 2e-3)), start=1):
                 theta.grad = g.copy()
                 opt.step(lr)
                 m = m * b1 + (1.0 - b1) * g
                 v = v * b2 + (1.0 - b2) * np.square(g)
-                update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
-                update = update + wd * ref
-                ref = ref - lr * update
+                root_bc2 = math.sqrt(1.0 - b2**step)
+                if wd:
+                    ref = ref * (1.0 - lr * wd)
+                ref = ref - (m / (np.sqrt(v) + eps * root_bc2)) * (lr * root_bc2 / (1.0 - b1**step))
                 case = f"{np.dtype(dtype).name} wd={wd} shape={shape} step {step}"
                 assert theta.data.dtype == ref.dtype == dtype, case
                 assert np.array_equal(theta.data, ref), case
+                if dtype == np.float64:
+                    update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+                    textbook = textbook - lr * (update + wd * textbook)
+                    np.testing.assert_allclose(theta.data, textbook, rtol=1e-12, err_msg=case)
             assert np.array_equal(opt._m[0], m) and np.array_equal(opt._v[0], v), case
 
     def test_step_allocates_no_parameter_sized_scratch(self):

@@ -334,18 +334,36 @@ class TestBatchNorm:
             ops.batch_norm(x, t(np.ones(2)), t(np.zeros(2)), None, None, mode="eval")
 
     def test_train_equals_eval_on_the_batch_statistics(self):
-        # one forward formula: only where mean and variance come from differs
+        # one forward formula: only where mean and variance come from
+        # differs; at momentum 1 the running buffers take the batch's own
         rng = np.random.default_rng(5)
         x = t(3.0 + rng.standard_normal((2, 4, 6, 5)))
         gamma, beta = t(rng.standard_normal(4)), t(rng.standard_normal(4))
-        rm, rv = t(x.data.mean(axis=(0, 2, 3))), t(x.data.var(axis=(0, 2, 3)))
-        train = ops.batch_norm(x, gamma, beta, None, None, mode="train")
+        rm, rv = t(np.zeros(4)), t(np.ones(4))
+        train = ops.batch_norm(x, gamma, beta, rm, rv, mode="train", momentum=1.0)
         evaluated = ops.batch_norm(x, gamma, beta, rm, rv, mode="eval")
         np.testing.assert_array_equal(train.data, evaluated.data)
 
+    def test_train_backward_holds_two_input_sized_arrays(self):
+        # d = x - mean and the input gradient; g is read, never copied
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((4, 32, 64, 64)).astype(np.float32), requires_grad=True)
+        out = ops.batch_norm(x, t(np.ones(32)), t(np.zeros(32)), None, None, mode="train")
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        backward = out._record.backward
+        tracemalloc.start()
+        try:
+            grads = backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            tape().reset()
+        assert grads[0].shape == x.shape
+        assert peak < 2.5 * x.data.nbytes, f"backward peaked at {peak / x.data.nbytes:.2f}x its input"
+
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_keeps_only_per_channel_values(self, mode):
-        # backward recomputes x̂ from x rather than keeping it
+        # backward recomputes x - mean from x rather than keeping it
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((2, 8, 32, 32)).astype(np.float32), requires_grad=True)
         rm, rv = t(np.zeros(8)), t(np.ones(8))

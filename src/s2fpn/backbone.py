@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .nn import BatchNorm2d, Conv2d, Module
+from .nn import BatchNorm2d, Conv2d, Module, conv_epilogue
 from .tensor import Tensor
 
 STAGE_WIDTHS = (64, 128, 256, 512)
@@ -50,10 +50,13 @@ class BasicBlock(Module):
             self.down_bn = None
 
     def forward(self, x):
-        h = ops.relu(self.bn1(self.conv1(x)))
-        h = self.bn2(self.conv2(h))
-        shortcut = x if self.down_conv is None else self.down_bn(self.down_conv(x))
-        return ops.relu(h + shortcut)
+        h = conv_epilogue(self.conv1(x), self.bn1)
+        h = conv_epilogue(self.conv2(h), self.bn2, relu=False)
+        if self.down_conv is None:
+            shortcut = x
+        else:
+            shortcut = conv_epilogue(self.down_conv(x), self.down_bn, relu=False)
+        return conv_epilogue(h, shortcut=shortcut)
 
 
 class Stage(Module):
@@ -97,7 +100,7 @@ class Backbone(Module):
         self.max_stride = 4 * int(np.prod(stage_strides))
 
     def forward(self, x: Tensor) -> FeatureHierarchy:
-        f2 = self.layer1(ops.max_pool(ops.relu(self.stem_bn(self.stem_conv(x))), 3, 2, 1))
+        f2 = self.layer1(ops.max_pool(conv_epilogue(self.stem_conv(x), self.stem_bn), 3, 2, 1))
         f3 = self.layer2(f2)
         f4 = self.layer3(f3)
         f5 = self.layer4(f4)

@@ -1,10 +1,12 @@
 """Central-difference gradient verification of kernels and composite blocks.
 
 Runs in float64: finite differences are too noisy at float32 to separate a
-wrong gradient from round-off. Blocks run in eval mode, so that dropout is
-the identity and batch norm uses its (default) running statistics: finite
-differences need the same function on every evaluation. The train-mode
-batch-norm path is covered by the kernel-level check.
+wrong gradient from round-off. Finite differences need the same function on
+every evaluation, so blocks run in eval mode, where dropout is the identity
+and batch norm uses its (default) running statistics. The pyramid stage runs
+in train mode instead, because its aux head runs only there: its dropout is
+built with p = 0, and batch norm uses the batch statistics, a function of
+the inputs alone. The kernel-level check covers train-mode batch norm too.
 """
 
 from __future__ import annotations
@@ -92,10 +94,11 @@ def _sq(t):
     return ops.tensor_sum(t * t)
 
 
-def _block_check(block, rng, **shapes) -> GradCheckResult:
-    """Check `block` in eval mode on the sum of squares of its outputs, with
-    respect to inputs of `shapes` drawn from `rng` and every parameter."""
-    block.eval()
+def _block_check(block, rng, training: bool = False, **shapes) -> GradCheckResult:
+    """Check `block` (in eval mode unless `training`) on the sum of squares
+    of its outputs, with respect to inputs of `shapes` drawn from `rng` and
+    every parameter."""
+    block.train(training)
     inputs = {name: _rand(rng, shape) for name, shape in shapes.items()}
 
     def loss():
@@ -182,9 +185,13 @@ def _frb(seed: int) -> dict[str, GradCheckResult]:
 
 def _apf(seed: int) -> dict[str, GradCheckResult]:
     rng = np.random.default_rng(seed)
-    stage = PyramidStage(lateral_channels=5, coarse_channels=6, width=4, num_classes=3, rng=rng)
+    stage = PyramidStage(
+        lateral_channels=5, coarse_channels=6, width=4, num_classes=3, dropout_p=0.0, rng=rng
+    )
     stage.ssam.alpha.data[...] = rng.standard_normal()
-    return {"apf": _block_check(stage, rng, coarse=(1, 6, 2, 3), low=(1, 5, 4, 6))}
+    return {
+        "apf": _block_check(stage, rng, training=True, coarse=(1, 6, 2, 3), low=(1, 5, 4, 6))
+    }
 
 
 def _gfu(seed: int) -> dict[str, GradCheckResult]:

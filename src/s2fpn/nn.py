@@ -10,7 +10,7 @@ from . import ops
 from .counting import current_counter
 from .errors import CheckpointError
 from .serialize import restore
-from .tensor import Parameter, Tensor, default_dtype
+from .tensor import Parameter, Tensor, default_dtype, grad_enabled
 
 
 class Module:
@@ -165,7 +165,7 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=dt))
         self.register_buffer("running_var", np.ones(channels, dtype=dt))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, out=None) -> Tensor:
         return ops.batch_norm(
             x,
             self.gamma,
@@ -174,6 +174,7 @@ class BatchNorm2d(Module):
             self.running_var,
             mode="train" if self.training else "eval",
             momentum=self.momentum,
+            out=out,
         )
 
 
@@ -189,6 +190,32 @@ class Dropout(Module):
         return ops.dropout(x, self.p, self.rng)
 
 
+def conv_epilogue(
+    y: Tensor, bn: BatchNorm2d | None = None, shortcut: Tensor | None = None, relu: bool = True
+) -> Tensor:
+    """What follows a conv: `bn`, then `+ shortcut`, then relu, each when
+    given. `y` must be an array that only the caller holds: a conv's
+    output, or this function's result on one.
+
+    When no tape records, each step writes its result into `y`'s array
+    (In-Place Activated BatchNorm, Rota Bulò et al., arXiv:1712.02616): the
+    same ops in the same order, so the same bits, and one array where a
+    taped forward makes one per step. The ops still count and report their
+    own work. This is the network's only in-place write into a Tensor's
+    `.data`; it never touches a block's input or an array already handed
+    on."""
+    inplace = not grad_enabled()
+    if bn is not None:
+        # `forward` by name, as `test_lint`'s defaults rule matches callers
+        # by name; the counter files BN's work under the calling block
+        y = bn.forward(y, out=y.data if inplace else None)
+    if shortcut is not None:
+        y = ops.add(y, shortcut, out=y.data if inplace else None)
+    if relu:
+        y = ops.relu(y, out=y.data if inplace else None)
+    return y
+
+
 class ConvBNReLU(Module):
     """Stride-1 "same" conv (no bias) -> batch norm -> relu, the dominant
     composite."""
@@ -202,4 +229,4 @@ class ConvBNReLU(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.relu(self.bn(self.conv(x)))
+        return conv_epilogue(self.conv(x), self.bn)

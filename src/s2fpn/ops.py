@@ -28,12 +28,24 @@ def _make(data, inputs, backward, op: str, flops: int = 0) -> Tensor:
     counter = current_counter()
     if counter is not None and flops:
         counter.add(int(flops))
-    needs = grad_enabled() and any(
-        t is not None and t.requires_grad for t in inputs
-    )
+    needs = _records(inputs)
     out = Tensor(data, requires_grad=needs, dtype=data.dtype.type)
     if needs:
         tape().record(out, inputs, backward)
+    return out
+
+
+def _records(inputs) -> bool:
+    """Whether the tape records an op on `inputs`."""
+    return grad_enabled() and any(t is not None and t.requires_grad for t in inputs)
+
+
+def _target(out, inputs, op: str):
+    """`out` for a kernel that writes its result into a given array, which
+    may be its own input. Refused while the tape records the op: backward
+    reads the arrays the forward was handed."""
+    if out is not None and _records(inputs):
+        raise StateError(f"{op} cannot write into out= while the tape records it")
     return out
 
 
@@ -64,20 +76,23 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
-def elementwise(a, b, op: str) -> Tensor:
-    """Broadcasting add/mul; gradients are summed over broadcast axes."""
+def elementwise(a, b, op: str, out=None) -> Tensor:
+    """Broadcasting add/mul; gradients are summed over broadcast axes. The
+    result may go into `out` (`a.data` itself too, when it has the result's
+    shape) when the tape does not record the op."""
     a = as_tensor(a)
     b = as_tensor(b, dtype=a.dtype.type)
     a_shape, b_shape = a.shape, b.shape
     _broadcast_check(a_shape, b_shape)
+    out = _target(out, (a, b), op)
     if op == "add":
-        data = a.data + b.data
+        data = np.add(a.data, b.data, out=out)
 
         def backward(g):
             return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     elif op == "mul":
-        data = a.data * b.data
+        data = np.multiply(a.data, b.data, out=out)
 
         def backward(g):
             return (
@@ -90,8 +105,8 @@ def elementwise(a, b, op: str) -> Tensor:
     return _make(data, (a, b), backward, op, data.size)
 
 
-def add(a, b) -> Tensor:
-    return elementwise(a, b, "add")
+def add(a, b, out=None) -> Tensor:
+    return elementwise(a, b, "add", out)
 
 
 def mul(a, b) -> Tensor:
@@ -136,11 +151,12 @@ def tensor_mean(x) -> Tensor:
 # activations
 
 
-def relu(x) -> Tensor:
+def relu(x, out=None) -> Tensor:
     """max(x, 0) in one pass; NaN propagates. Backward reads its mask off
-    the output, so the tape keeps nothing beyond it."""
+    the output, so the tape keeps nothing beyond it. The result may go
+    into `out` (`x.data` itself too) when the tape does not record it."""
     x = as_tensor(x)
-    data = np.maximum(x.data, 0)
+    data = np.maximum(x.data, 0, out=_target(out, (x,), "relu"))
 
     def backward(g):
         return (g * (data > 0),)
@@ -207,12 +223,11 @@ def _require_nchw(x: Tensor, op: str) -> None:
 
 
 def _sequential_sum(data: np.ndarray, axis: int) -> np.ndarray:
-    """Left-to-right accumulation: bit-reproducible and loop-oracle-exact."""
-    view = np.moveaxis(data, axis, 0)
-    acc = view[0].copy()
-    for i in range(1, view.shape[0]):
-        acc += view[i]
-    return acc
+    """Sum over `axis` strictly left to right, as a loop over it would add:
+    the last slice of `np.add.accumulate`, which (unlike `np.sum`'s pairwise
+    reduction) adds each element to the running total in order. Bit-
+    reproducible and exact against the loop oracles, with no Python loop."""
+    return np.add.accumulate(data, axis=axis).take(-1, axis=axis)
 
 
 def strip_pool(x, mode: str = "avg") -> Tensor:
@@ -271,9 +286,12 @@ def _pool_taps(size: int, out: int, kernel: int, stride: int, padding: int):
 
 
 def max_pool(x, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """Max over k x k windows as k² strided `np.maximum` passes; padding
-    acts as -inf. Backward recomputes the routing to the first maximum of
-    each window (row-major tap order) from `x` and the output."""
+    """Max over k x k windows, separably: k strided `np.maximum` passes over
+    the W taps into an (N, C, H, oW) array, then k over its H taps, so 2k
+    passes instead of k². A max rounds nothing, so the values are those of
+    the full window; padding acts as -inf. Backward recomputes the routing
+    to the first maximum of each window (row-major tap order) from `x` and
+    the output."""
     x = as_tensor(x)
     _require_nchw(x, "max_pool")
     n, c, h, w = x.shape
@@ -281,15 +299,17 @@ def max_pool(x, kernel: int, stride: int, padding: int = 0) -> Tensor:
     ow = (w + 2 * padding - kernel) // stride + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"max_pool window {kernel} does not fit input {x.shape}")
-    taps = [
-        (oi, oj, ii, ij)
-        for _, oi, ii in _pool_taps(h, oh, kernel, stride, padding)
-        for _, oj, ij in _pool_taps(w, ow, kernel, stride, padding)
-    ]
+    rows = _pool_taps(h, oh, kernel, stride, padding)
+    cols = _pool_taps(w, ow, kernel, stride, padding)
+    wide = np.full((n, c, h, ow), -np.inf, dtype=x.dtype)
+    for _, oj, ij in cols:
+        dst = wide[:, :, :, oj]
+        np.maximum(dst, x.data[:, :, :, ij], out=dst)
     data = np.full((n, c, oh, ow), -np.inf, dtype=x.dtype)
-    for oi, oj, ii, ij in taps:
-        dst = data[:, :, oi, oj]
-        np.maximum(dst, x.data[:, :, ii, ij], out=dst)
+    for _, oi, ii in rows:
+        dst = data[:, :, oi]
+        np.maximum(dst, wide[:, :, ii], out=dst)
+    taps = [(oi, oj, ii, ij) for _, oi, ii in rows for _, oj, ij in cols]
 
     def backward(g):
         gx = np.zeros_like(x.data)
@@ -307,12 +327,17 @@ def max_pool(x, kernel: int, stride: int, padding: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 # bilinear interpolation (half-pixel source mapping)
 
-_INTERP_CACHE: dict[tuple, np.ndarray] = {}
+_INTERP_CACHE: dict[tuple, tuple[np.ndarray, list]] = {}
+
+# output rows per GEMM of the row resample: each band reads only the few
+# input rows its output rows interpolate from
+_RESAMPLE_ROWS = 16
 
 
-def interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """Row-stochastic (n_out, n_in) matrix realising half-pixel bilinear
-    resampling: src = (dst + 0.5) * n_in / n_out - 0.5, clamped to borders."""
+def _interp(n_in: int, n_out: int, dtype) -> tuple[np.ndarray, list]:
+    """`interp_matrix` and its row bands: (r0, r1, a, b) for each run of
+    `_RESAMPLE_ROWS` output rows r0:r1, where a:b holds every column those
+    rows weight non-zero."""
     key = (n_in, n_out, np.dtype(dtype).str)
     cached = _INTERP_CACHE.get(key)
     if cached is not None:
@@ -326,21 +351,42 @@ def interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     rows = np.arange(n_out)
     np.add.at(m, (rows, lo), 1.0 - frac)
     np.add.at(m, (rows, hi), frac)
-    m = m.astype(dtype)
-    _INTERP_CACHE[key] = m
-    return m
+    # rows map monotonically, so a band's support runs from its first
+    # row's `lo` to its last row's `hi`
+    bands = []
+    for r0 in range(0, n_out, _RESAMPLE_ROWS):
+        r1 = min(r0 + _RESAMPLE_ROWS, n_out)
+        bands.append((r0, r1, int(lo[r0]), int(hi[r1 - 1]) + 1))
+    cached = _INTERP_CACHE[key] = (m.astype(dtype), bands)
+    return cached
+
+
+def interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """Row-stochastic (n_out, n_in) matrix realising half-pixel bilinear
+    resampling: src = (dst + 0.5) * n_in / n_out - 0.5, clamped to borders."""
+    return _interp(n_in, n_out, dtype)[0]
 
 
 def bilinear_upsample(x, out_h: int, out_w: int) -> Tensor:
+    """Half-pixel bilinear resample of H and W to (out_h, out_w).
+
+    Widths first, as one GEMM with the dense `interp_matrix`; then heights
+    in bands of `_RESAMPLE_ROWS` output rows, each a GEMM with only the
+    columns of the height matrix that the band weights non-zero, written
+    straight into its rows of the output. Every row of that matrix has at
+    most two non-zeros, so a band skips the dense GEMM's zero products.
+    Backward applies the adjoint of both dense matrices."""
     x = as_tensor(x)
     _require_nchw(x, "bilinear_upsample")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"target size must be positive, got ({out_h}, {out_w})")
     n, c, h, w = x.shape
-    mh = interp_matrix(h, out_h, x.dtype)
+    mh, bands = _interp(h, out_h, x.dtype)
     mw = interp_matrix(w, out_w, x.dtype)
-    # two GEMMs, widths then heights; each lands contiguous
-    data = mh @ (x.data @ mw.T)
+    xw = x.data @ mw.T
+    data = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+    for r0, r1, a, b in bands:
+        np.matmul(mh[r0:r1, a:b], xw[:, :, a:b], out=data[:, :, r0:r1])
 
     def backward(g):
         return (mh.T @ (g @ mw),)
@@ -521,15 +567,18 @@ def batch_norm(
     running_var,
     mode: str = "train",
     momentum: float = 0.1,
+    out=None,
 ) -> Tensor:
     """Per-channel normalization over (N, H, W).
 
     Train mode uses batch statistics and updates the running buffers in
     place; eval mode normalizes with the running statistics. Either way the
-    forward subtracts the mean into one new array, then scales and shifts
-    it in place (folding the mean into the shift loses digits when
-    |mean| >> std). Train mode takes the variance from that centred array
-    with `_channel_dot`, so it allocates nothing else input-sized.
+    forward subtracts the mean into one array, then scales and shifts it in
+    place (folding the mean into the shift loses digits when |mean| >> std).
+    That array is new, or `out` (`x.data` itself too) when the tape does not
+    record the op: the same three passes in the same order, so the same
+    bits. Train mode takes the variance from the centred array with
+    `_channel_dot`, so it allocates nothing else input-sized.
     Backward recomputes d = x - mean from `x`, takes sum(g * d) the same
     way and builds the input gradient from g * scale and per-channel
     multiples of d: two input-sized arrays, and `g` is never written.
@@ -546,9 +595,10 @@ def batch_norm(
     shape = (1, c, 1, 1)
     count = n * h * w
     rm, rv = (s.data if isinstance(s, Tensor) else s for s in (running_mean, running_var))
+    out = _target(out, (x, gamma, beta), "batch_norm")
     if mode == "train":
         mean = x.data.mean(axis=(0, 2, 3))
-        out = x.data - mean.reshape(shape)
+        out = np.subtract(x.data, mean.reshape(shape), out=out)
         var = _channel_dot(out, out) / count
         if rm is not None:
             rm *= 1.0 - momentum
@@ -561,7 +611,7 @@ def batch_norm(
         mean, var = np.asarray(rm).astype(x.dtype), np.asarray(rv).astype(x.dtype)
         if mean.shape != (c,) or var.shape != (c,):
             raise ShapeError(f"running stat shapes {mean.shape}/{var.shape} must be ({c},)")
-        out = x.data - mean.reshape(shape)
+        out = np.subtract(x.data, mean.reshape(shape), out=out)
     else:
         raise ValueError(f"batch_norm mode must be train or eval, got {mode!r}")
     mean = mean.reshape(shape)
@@ -582,7 +632,7 @@ def batch_norm(
             gx -= d
         return gx, grad_gamma, grad_beta
 
-    return _make(np.ascontiguousarray(out), (x, gamma, beta), backward, "batch_norm", 2 * x.size)
+    return _make(out, (x, gamma, beta), backward, "batch_norm", 2 * x.size)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import ops
 from .backbone import STAGE_WIDTHS
-from .nn import BatchNorm2d, Conv2d, ConvBNReLU, Dropout, Module
+from .nn import BatchNorm2d, Conv2d, ConvBNReLU, Dropout, Module, conv_epilogue
 from .attention import ChannelAttention, StripAttention
 
 
@@ -28,7 +28,7 @@ class DepthwiseProjection(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x):
-        return ops.relu(self.bn(self.pointwise(self.depthwise(x))))
+        return conv_epilogue(self.pointwise(self.depthwise(x)), self.bn)
 
 
 class FeatureRefinement(Module):
@@ -64,6 +64,8 @@ class PyramidStage(Module):
 
     Branch A re-weights the lateral path per channel; branch B modulates
     the coarse path with the row-strip attention over the refined feature.
+    `forward` returns (refined output, aux logits). The aux head runs only
+    in training, where the loss reads it; in eval the aux logits are None.
     """
 
     def __init__(
@@ -95,7 +97,7 @@ class PyramidStage(Module):
         x_a = self.crb_conv(lat) * gate
         x_b = self.coarse_conv(up) * self.ssam(refined)
         fused = x_a + x_b
-        aux = self.head(fused)
+        aux = self.head(fused) if self.training else None
         return self.next_refine(fused), aux
 
 
@@ -114,7 +116,8 @@ class AttentionPyramid(Module):
 
     def forward(self, taps, coarse):
         """Fuse `taps` (f2..f5) top-down from `coarse`; return the finest
-        refined map and the aux logits ordered fine to coarse."""
+        refined map and the aux logits ordered fine to coarse (each None in
+        eval)."""
         aux = []
         for stage, low in zip(self._modules.values(), reversed(taps)):
             coarse, logits = stage(coarse, low)

@@ -137,8 +137,6 @@ class Trainer:
         x, labels = self.batch_for(iteration)
         self._reseed_dropout(iteration)
         self.model.train()
-        # the last step's gradients need not live through this forward
-        self.optimizer.zero_grad()
         recorder = tape()
         recorder.reset()
         main, aux = self.model(x)
@@ -147,6 +145,10 @@ class Trainer:
             # stop before backward and the update reach the parameters
             recorder.reset()
             raise NumericCheckError(f"non-finite loss {loss.item()} at iteration {iteration}")
+        # dropped here, not before the forward: freed earlier, their heap
+        # would go to the forward's activations, and backward's large conv
+        # arrays would fault in fresh pages every step
+        self.optimizer.zero_grad()
         recorder.backward(loss)
         self.optimizer.step(lr)
         return lr, [loss.item()] + [t.item() for t in terms[1:]]

@@ -22,8 +22,8 @@ def capture(module):
     calls = {name: [] for name in module._modules}
     for name, child in module._modules.items():
 
-        def forward(*inputs, _inner=child.forward, _log=calls[name]):
-            out = _inner(*inputs)
+        def forward(*inputs, _inner=child.forward, _log=calls[name], **options):
+            out = _inner(*inputs, **options)
             _log.append((inputs, out))
             return out
 
@@ -61,7 +61,9 @@ def strip_attention_parts(block, x):
 
 
 def pyramid_stage_parts(stage, coarse, low):
-    """Run a PyramidStage; return (output, aux logits, intermediates)."""
+    """Run a PyramidStage; return (output, aux logits, intermediates).
+    `fused` is what the stage hands `next_refine`, which runs in either
+    mode (the aux head runs only in training)."""
     with capture(stage) as calls:
         out, aux = stage(coarse, low)
     [(_, lateral)] = calls["lateral"]
@@ -71,7 +73,7 @@ def pyramid_stage_parts(stage, coarse, low):
     [(_, crb)] = calls["crb_conv"]
     [(_, coarse_branch)] = calls["coarse_conv"]
     [(_, strip)] = calls["ssam"]
-    [((fused,), _)] = calls["head"]
+    [((fused,), _)] = calls["next_refine"]
     with no_grad():
         x_a = crb * gate
         x_b = coarse_branch * strip

@@ -21,6 +21,7 @@ from s2fpn.metrics import ConfusionMatrix
 from s2fpn.model import S2FPN
 from s2fpn.serialize import load_model, read_checkpoint, write_checkpoint
 from s2fpn.synthetic import make_toy_corpus
+from s2fpn.tensor import Tape
 from s2fpn.trainer import Trainer, evaluate_model
 
 
@@ -165,7 +166,9 @@ class TestTrainerRoundTrip:
         _, losses_resumed = resumed.train_step(start)
         assert losses_resumed[0] == pytest.approx(losses_straight[0], abs=1e-12)
 
-    def test_forward_runs_without_the_last_steps_gradients(self, toy_setup, tmp_path):
+    def test_backward_starts_without_the_last_steps_gradients(
+        self, toy_setup, tmp_path, monkeypatch
+    ):
         base, root, config = toy_setup
         cfg = parse_config(config)
         cfg.out_dir = str(tmp_path / "run")
@@ -173,15 +176,15 @@ class TestTrainerRoundTrip:
         trainer.train_step(0)
         params = list(trainer.model.parameters())
         assert any(p.grad is not None for p in params)
-        forward, alive = trainer.model.forward, []
+        backward, alive = Tape.backward, []
 
-        def spy(*args, **kwargs):
-            alive.extend(p for p in params if p.grad is not None)
-            return forward(*args, **kwargs)
+        def spy(self, loss):
+            alive.append(sum(p.grad is not None for p in params))
+            return backward(self, loss)
 
-        trainer.model.forward = spy
+        monkeypatch.setattr(Tape, "backward", spy)
         trainer.train_step(1)
-        assert not alive, f"{len(alive)} parameters still held a gradient"
+        assert alive == [0], f"parameters still holding a gradient: {alive}"
         assert any(p.grad is not None for p in params)
 
     def test_resume_refuses_missing_adam_moment(self, toy_setup, tmp_path, capsys):

@@ -446,3 +446,77 @@ def test_detects_a_default_no_call_passes():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_default_is_passed_by_some_call(path):
     assert unpassed_defaults(path.read_text(), CALLS) == []
+
+
+# the network's modules write into a Tensor's `.data` in one place only:
+# the conv epilogue, which writes into the conv output it was handed
+_NETWORK_MODULES = ("nn", "backbone", "pyramid", "attention", "decoder", "model")
+_EPILOGUE = "conv_epilogue"
+
+
+def data_writes(source: str) -> list[str]:
+    """Lines outside `_EPILOGUE` that write into some Tensor's `.data` in
+    place: an augmented assignment to it or into it, an assignment into a
+    subscript of it, an `out=` argument that names it, or a numpy call
+    that writes its first argument, given it."""
+
+    def names_data(node) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr == "data" for n in ast.walk(node))
+
+    def rooted_at_data(node) -> bool:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr == "data"
+
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == _EPILOGUE
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.AugAssign):
+            hit = rooted_at_data(node.target)
+        elif isinstance(node, ast.Assign):
+            hit = any(isinstance(t, ast.Subscript) and rooted_at_data(t) for t in node.targets)
+        elif isinstance(node, ast.Call):
+            outs = [kw.value for kw in node.keywords if kw.arg == "out"]
+            if _called_name(node.func) in _WRITES_FIRST_ARG:
+                outs += node.args[:1]
+            hit = any(names_data(out) for out in outs)
+        else:
+            hit = False
+        if hit:
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detects_an_in_place_write_to_a_tensors_data():
+    source = (
+        "def conv_epilogue(y, inplace):\n"
+        "    y.data += 1\n"  # the one allowed place
+        "    return ops.relu(y, out=y.data if inplace else None)\n"
+        "\n"
+        "\n"
+        "def block(x, h, out):\n"
+        "    h.data += x.data\n"  # line 7
+        "    h.data[0] *= 2\n"  # line 8
+        "    h.data[..., 1] = 0\n"  # line 9
+        "    np.maximum(h.data, 0, out=h.data)\n"  # line 10
+        "    np.copyto(x.data, h.data)\n"  # line 11
+        "    y = ops.relu(h, out=out)\n"  # an array passed through, not named here
+        "    z = h.data + 1\n"  # a new array
+        "    z += 1\n"  # not a Tensor's data
+        "    h.data = z\n"  # rebinds the attribute, writes nothing
+        "    return ops.add(y, z, out=None)\n"
+    )
+    assert data_writes(source) == ["line 7", "line 8", "line 9", "line 10", "line 11"]
+
+
+@pytest.mark.parametrize("name", _NETWORK_MODULES)
+def test_only_the_conv_epilogue_writes_into_a_tensors_data(name):
+    assert data_writes((PACKAGE / f"{name}.py").read_text()) == []

@@ -1,12 +1,15 @@
 """The assembled network: one float type and one frame rule."""
 
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from s2fpn import Tensor, no_grad, ops, using_dtype
-from s2fpn.analysis import benchmark_latency, count_flops
+from s2fpn import Tensor, no_grad, ops, tape, using_dtype
+from s2fpn.analysis import benchmark_latency, count_flops, flop_counting
+from s2fpn.backbone import build_backbone
 from s2fpn.config import RunConfig
 from s2fpn.dataset import SegDataset
 from s2fpn.errors import DataError, ShapeError
@@ -116,3 +119,75 @@ def test_backbone_taps_die_before_the_decoder():
     with no_grad():
         model(model.normalize(images(64, 64)))
     assert alive == [False]
+
+
+class TestEvalForward:
+    """Eval computes only what the logits need: no aux heads, and when no
+    tape records, conv -> BN -> ReLU (and the residual add) in one array."""
+
+    def test_no_grad_forward_bit_equals_the_taped_one(self):
+        model = S2FPN("r18", 320, 19, seed=0).eval()
+        frame = images(64, 128)
+        with no_grad():
+            plain = model(model.normalize(frame)).data
+        x = model.normalize(frame)
+        x.requires_grad = True
+        try:
+            taped = model(x)
+            assert taped.requires_grad and len(tape()) > 0
+        finally:
+            tape().reset()
+        assert np.isfinite(plain).all()
+        np.testing.assert_array_equal(plain, taped.data)
+
+    def test_leaves_its_input_alone_and_shares_no_memory_with_the_model(self):
+        model = S2FPN("r18", 64, 5, seed=0).eval()
+        x = model.normalize(images(64, 128))
+        before = x.data.copy()
+        with no_grad():
+            out = model(x)
+        np.testing.assert_array_equal(x.data, before)
+        held = [x.data, *(v for v in model.state_dict().values())]
+        assert not any(np.shares_memory(out.data, a) for a in held)
+
+    def test_flops_drop_exactly_the_aux_heads(self):
+        # train and eval run the same ops but for the aux heads, which only
+        # training runs, and the final resample, which only eval runs (with
+        # dropout at p = 0 training adds no dropout work either)
+        model = S2FPN("r18", 64, 5, dropout_p=0.0, seed=0)
+        x = Tensor(np.zeros((1, 3, 64, 128), dtype=np.float32))
+        per_module = {}
+        for training in (True, False):
+            model.train(training)
+            with no_grad(), flop_counting(model) as counter:
+                model(x)
+            per_module[training] = dict(counter.per_module)
+        trained = per_module[True]
+        heads = {k for k in trained if re.fullmatch(r"apf\.\d\.head(\..*)?", k)}
+        assert len(heads) == 8 and all(trained[k] > 0 for k in heads)  # conv and proj, x4
+        expected = {k: v for k, v in trained.items() if k not in heads}
+        expected[""] = expected.get("", 0) + 4 * 5 * 64 * 128  # the resample to 64x128
+        assert per_module[False] == expected
+
+    @pytest.mark.parametrize("shape, gflop", [((1, 3, 64, 128), 0.8754), ((1, 3, 512, 1024), 55.9312)])
+    def test_r18_eval_flops(self, shape, gflop):
+        # 0.9359 and 59.8028 GFLOP while eval still ran the aux heads
+        total = count_flops(S2FPN("r18", 320, 19, seed=0), shape).total_flops
+        assert round(total / 1e9, 4) == gflop
+
+    def test_stem_conv_and_bn_outputs_never_coexist(self):
+        # the stem's BN and ReLU write into its conv's output, so the
+        # backbone's peak stays below two stem-sized arrays; the max-pool
+        # after it adds half of one and its output a quarter
+        backbone = build_backbone("r18").eval()
+        x = Tensor(images(256, 512))
+        stem_bytes = 64 * 128 * 256 * x.data.itemsize
+        with no_grad():
+            backbone(x)  # first-call allocations out of the way
+            tracemalloc.start()
+            try:
+                backbone(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.9 * stem_bytes, f"peak {peak / stem_bytes:.2f}x the stem's output"

@@ -5,7 +5,7 @@ import numpy as np
 from s2fpn import Tensor, no_grad
 from s2fpn.gradcheck import run_checks
 from s2fpn.model import S2FPN
-from s2fpn.pyramid import DepthwiseProjection, PyramidStage
+from s2fpn.pyramid import AuxHead, DepthwiseProjection, PyramidStage
 
 from capture import pyramid_stage_parts
 from oracles import conv2d_ref
@@ -56,6 +56,9 @@ class TestPyramidStage:
         stage = small_stage()
         coarse, low = rand((1, 10, 8, 12), 1), rand((1, 6, 16, 24), 2)
         out, aux = stage(coarse, low)
+        assert out.shape == (1, 8, 16, 24)
+        assert aux is None  # the aux head runs only in training
+        out, aux = stage.train()(coarse, low)
         assert out.shape == (1, 8, 16, 24)
         assert aux.shape == (1, 4, 16, 24)
 
@@ -114,6 +117,18 @@ class TestPyramidChain:
         x = rand((1, 3, 64, 128), 1)
         _, aux = model.train()(x)
         assert len(aux) == 4
+
+    def test_eval_never_calls_the_aux_head(self, monkeypatch):
+        calls = []
+        forward = AuxHead.forward
+        monkeypatch.setattr(AuxHead, "forward", lambda self, x: calls.append(x) or forward(self, x))
+        model = S2FPN("r18", pyramid_width=64, num_classes=5, seed=0)
+        x = rand((1, 3, 64, 128), 5)
+        with no_grad():
+            model.eval()(x)
+        assert calls == []
+        model.train()(x)
+        assert len(calls) == 4
 
     def test_aux_resolutions_follow_strides(self):
         model = S2FPN("r18", pyramid_width=64, num_classes=5, seed=0)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from s2fpn import Parameter, Tensor, ops, set_debug_checks, tape, tensor, using_dtype
+from s2fpn import Parameter, Tensor, no_grad, ops, set_debug_checks, tape, tensor, using_dtype
 from s2fpn.backbone import BasicBlock
 from s2fpn.errors import NumericCheckError, ShapeError, StateError
 from s2fpn.gradcheck import grad_check
@@ -411,6 +411,50 @@ def test_basic_block_keeps_only_what_backward_reads():
     assert held <= 3.5 * x.data.nbytes, f"{held / x.data.nbytes:.2f} outputs held beyond the output"
 
 
+class TestWritingIntoOut:
+    """`batch_norm`, `relu` and `add` write into `out` (their own input's
+    array too) only while the tape does not record them, and give the same
+    bits as a new array."""
+
+    @staticmethod
+    def kernels(rng):
+        c = 4
+        gamma, beta = t(rng.standard_normal(c)), t(rng.standard_normal(c))
+        rm, rv = t(rng.standard_normal(c)), t(0.5 + rng.random(c))
+        other = t(rng.standard_normal((2, c, 5, 6)))
+        return {
+            "batch_norm_eval": lambda x, out: ops.batch_norm(x, gamma, beta, rm, rv, "eval", out=out),
+            "batch_norm_train": lambda x, out: ops.batch_norm(
+                x, gamma, beta, None, None, "train", out=out
+            ),
+            "relu": lambda x, out: ops.relu(x, out=out),
+            "add": lambda x, out: ops.add(x, other, out=out),
+        }
+
+    @pytest.mark.parametrize("name", ["batch_norm_eval", "batch_norm_train", "relu", "add"])
+    def test_in_place_bit_equals_a_new_array(self, name):
+        rng = np.random.default_rng(14)
+        kernel = self.kernels(rng)[name]
+        x = t(3.0 + rng.standard_normal((2, 4, 5, 6)))
+        with no_grad():
+            fresh = kernel(Tensor(x.data.copy()), None)
+            y = Tensor(x.data.copy())
+            written = kernel(y, y.data)
+        assert written.data is y.data
+        np.testing.assert_array_equal(written.data, fresh.data)
+
+    @pytest.mark.parametrize("name", ["batch_norm_eval", "batch_norm_train", "relu", "add"])
+    def test_refused_while_the_tape_records(self, name):
+        rng = np.random.default_rng(15)
+        kernel = self.kernels(rng)[name]
+        x = Tensor(rng.standard_normal((2, 4, 5, 6)).astype(np.float32), requires_grad=True)
+        before = x.data.copy()
+        with pytest.raises(StateError, match="out="):
+            kernel(x, x.data)
+        np.testing.assert_array_equal(x.data, before)
+        tape().reset()
+
+
 class TestPooling:
     def test_strip_avg_hand_case(self):
         x = t(np.array([[1, 2, 3], [4, 5, 6]]).reshape(1, 1, 2, 3))
@@ -516,6 +560,20 @@ class TestBilinear:
         up = ops.bilinear_upsample(x, *out_hw)
         tape().backward(ops.tensor_sum(up * Tensor(g, dtype=np.float64)))
         assert abs(np.vdot(up.data, g) - np.vdot(x.data, x.grad)) < 1e-12
+
+    @pytest.mark.parametrize("shape,out_hw", [
+        ((1, 19, 128, 256), (512, 1024)),  # the eval logits' resample
+        ((1, 80, 8, 16), (16, 32)),
+        ((2, 3, 5, 7), (37, 9)),  # a last band shorter than the others
+        ((1, 4, 12, 10), (5, 4)),  # downsampling
+    ])
+    def test_banded_rows_bit_equal_to_the_dense_gemms(self, shape, out_hw):
+        # each band's GEMM skips only zero products of the height matrix
+        x = np.random.default_rng(11).standard_normal(shape).astype(np.float32)
+        mh = ops.interp_matrix(shape[2], out_hw[0], np.float32)
+        mw = ops.interp_matrix(shape[3], out_hw[1], np.float32)
+        out = ops.bilinear_upsample(t(x), *out_hw)
+        np.testing.assert_array_equal(out.data, mh @ (x @ mw.T))
 
     def test_down_then_up_of_constant(self):
         x = t(np.full((1, 1, 8, 8), -2.0))

@@ -10,17 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .ops import interp_matrix
-
-
-def resize_image(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    c, h, w = image.shape
-    if (h, w) == (out_h, out_w):
-        return image.copy()
-    mh = interp_matrix(h, out_h, image.dtype)
-    mw = interp_matrix(w, out_w, image.dtype)
-    # the two GEMMs of ops.bilinear_upsample: widths then heights
-    return mh @ (image @ mw.T)
+from .ops import _resample
 
 
 def resize_label(label: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -53,7 +43,7 @@ def augment(
     if scale != 1.0:
         out_h = max(1, round(image.shape[1] * scale))
         out_w = max(1, round(image.shape[2] * scale))
-        image = resize_image(image, out_h, out_w)
+        image = _resample(image, out_h, out_w)
         label = resize_label(label, out_h, out_w)
     if rng.random() < cfg.flip_prob:
         image = np.ascontiguousarray(image[:, :, ::-1])

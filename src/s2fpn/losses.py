@@ -28,8 +28,8 @@ def ohem_cross_entropy(
 ) -> Tensor:
     """Mean cross-entropy over mined pixels of (N, H, W) `labels`.
 
-    Logits of another spatial size are resampled to (H, W) here, with the
-    arithmetic of `ops.bilinear_upsample`; backward recomputes that resample
+    Logits of another spatial size are resampled to (H, W) here, by the
+    resample `ops.bilinear_upsample` runs; backward recomputes that resample
     and applies its adjoint, so only the logits as given stay alive.
 
     A pixel is hard when the probability of its true class falls below
@@ -48,11 +48,9 @@ def ohem_cross_entropy(
     h, w = labels.shape[1:]
     x = logits.data
     resampled = (h_in, w_in) != (h, w)
-    mh = ops.interp_matrix(h_in, h, x.dtype)
-    mw = ops.interp_matrix(w_in, w, x.dtype)
 
     def log_probs():
-        return _log_softmax(mh @ (x @ mw.T) if resampled else x)
+        return _log_softmax(ops._resample(x, h, w) if resampled else x)
 
     valid = labels != ignore_index
     bad = valid & ((labels < 0) | (labels >= k))
@@ -98,7 +96,7 @@ def ohem_cross_entropy(
             axis=1,
         )
         grad *= (sel_map[:, None] * (g / n_sel)).astype(grad.dtype)
-        return (mh.T @ (grad @ mw) if resampled else grad,)
+        return (ops._resample_adjoint(grad, h_in, w_in) if resampled else grad,)
 
     return ops._make(loss_value, (logits,), backward, "ohem_cross_entropy")
 

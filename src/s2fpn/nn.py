@@ -206,9 +206,7 @@ def conv_epilogue(
     on."""
     inplace = not grad_enabled()
     if bn is not None:
-        # `forward` by name, as `test_lint`'s defaults rule matches callers
-        # by name; the counter files BN's work under the calling block
-        y = bn.forward(y, out=y.data if inplace else None)
+        y = bn(y, out=y.data if inplace else None)
     if shortcut is not None:
         y = ops.add(y, shortcut, out=y.data if inplace else None)
     if relu:

@@ -335,7 +335,9 @@ _RESAMPLE_ROWS = 16
 
 
 def _interp(n_in: int, n_out: int, dtype) -> tuple[np.ndarray, list]:
-    """`interp_matrix` and its row bands: (r0, r1, a, b) for each run of
+    """The row-stochastic (n_out, n_in) matrix of half-pixel bilinear
+    resampling, src = (dst + 0.5) * n_in / n_out - 0.5 clamped to the
+    borders, and its row bands: (r0, r1, a, b) for each run of
     `_RESAMPLE_ROWS` output rows r0:r1, where a:b holds every column those
     rows weight non-zero."""
     key = (n_in, n_out, np.dtype(dtype).str)
@@ -361,35 +363,42 @@ def _interp(n_in: int, n_out: int, dtype) -> tuple[np.ndarray, list]:
     return cached
 
 
-def interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """Row-stochastic (n_out, n_in) matrix realising half-pixel bilinear
-    resampling: src = (dst + 0.5) * n_in / n_out - 0.5, clamped to borders."""
-    return _interp(n_in, n_out, dtype)[0]
+def _resample(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel bilinear resample of the last two axes of `x`.
+
+    Widths first, as one GEMM with the dense width matrix; then heights in
+    bands of `_RESAMPLE_ROWS` output rows, each a GEMM with only the
+    columns of the height matrix that the band weights non-zero, written
+    straight into its rows of the output. Every row of that matrix has at
+    most two non-zeros, so a band skips the dense GEMM's zero products."""
+    mh, bands = _interp(x.shape[-2], out_h, x.dtype)
+    xw = x @ _interp(x.shape[-1], out_w, x.dtype)[0].T
+    out = np.empty(x.shape[:-2] + (out_h, out_w), dtype=x.dtype)
+    for r0, r1, a, b in bands:
+        np.matmul(mh[r0:r1, a:b], xw[..., a:b, :], out=out[..., r0:r1, :])
+    return out
+
+
+def _resample_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The adjoint of `_resample` from (h, w): the transposed dense
+    matrices applied to `g`."""
+    mh = _interp(h, g.shape[-2], g.dtype)[0]
+    mw = _interp(w, g.shape[-1], g.dtype)[0]
+    return mh.T @ (g @ mw)
 
 
 def bilinear_upsample(x, out_h: int, out_w: int) -> Tensor:
-    """Half-pixel bilinear resample of H and W to (out_h, out_w).
-
-    Widths first, as one GEMM with the dense `interp_matrix`; then heights
-    in bands of `_RESAMPLE_ROWS` output rows, each a GEMM with only the
-    columns of the height matrix that the band weights non-zero, written
-    straight into its rows of the output. Every row of that matrix has at
-    most two non-zeros, so a band skips the dense GEMM's zero products.
-    Backward applies the adjoint of both dense matrices."""
+    """Half-pixel bilinear resample of H and W to (out_h, out_w) by
+    `_resample`; backward is `_resample_adjoint`."""
     x = as_tensor(x)
     _require_nchw(x, "bilinear_upsample")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"target size must be positive, got ({out_h}, {out_w})")
-    n, c, h, w = x.shape
-    mh, bands = _interp(h, out_h, x.dtype)
-    mw = interp_matrix(w, out_w, x.dtype)
-    xw = x.data @ mw.T
-    data = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-    for r0, r1, a, b in bands:
-        np.matmul(mh[r0:r1, a:b], xw[:, :, a:b], out=data[:, :, r0:r1])
+    h, w = x.shape[2:]
+    data = _resample(x.data, out_h, out_w)
 
     def backward(g):
-        return (mh.T @ (g @ mw),)
+        return (_resample_adjoint(g, h, w),)
 
     return _make(data, (x,), backward, "bilinear_upsample", 4 * data.size)
 

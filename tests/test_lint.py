@@ -147,14 +147,21 @@ def test_no_attribute_only_tests_read(path):
     assert unread_attributes(path.read_text(), READERS) == []
 
 
-def pad4_calls(source: str) -> list[str]:
-    """Lines that call `pad4`, by name or as an attribute. The checkpoint
-    shape rule has one owner, `serialize.restore`."""
+def _called_name(func) -> str | None:
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+# functions with one caller module each: the checkpoint shape rule is
+# `serialize.restore`'s, and only `ops` builds or applies resample matrices
+ONE_OWNER = {"pad4": "serialize.py", "_interp": "ops.py"}
+
+
+def calls_of(source: str, name: str) -> list[str]:
+    """Lines that call `name`, by name or as an attribute."""
     lines = [
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pad4"
+        if isinstance(node, ast.Call) and _called_name(node.func) == name
     ]
     return [f"line {line}" for line in sorted(lines)]
 
@@ -167,14 +174,36 @@ def test_detects_a_pad4_call():
         "size = serialize.pad4(a.shape)\n"  # line 4
         "rule = pad4\n"  # a reference, not a call
     )
-    assert pad4_calls(source) == ["line 3", "line 3", "line 4"]
+    assert calls_of(source, "pad4") == ["line 3", "line 3", "line 4"]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "serialize.py"], ids=lambda p: p.name
-)
+def test_detects_an_interp_call():
+    source = (
+        "from . import ops\n"
+        "mh, bands = ops._interp(h, out_h, x.dtype)\n"  # line 2
+        "mw = _interp(w, out_w, x.dtype)[0]\n"  # line 3
+        "y = ops._resample(x, out_h, out_w)\n"  # the op's helper, not the matrices
+    )
+    assert calls_of(source, "_interp") == ["line 2", "line 3"]
+
+
+def test_each_one_owner_function_is_defined_by_its_owner():
+    for name, owner in ONE_OWNER.items():
+        assert f"\ndef {name}(" in (PACKAGE / owner).read_text(), name
+
+
+def _outside(name: str) -> list[Path]:
+    return [p for p in SOURCES if p.name != ONE_OWNER[name]]
+
+
+@pytest.mark.parametrize("path", _outside("pad4"), ids=lambda p: p.name)
 def test_only_serialize_calls_pad4(path):
-    assert pad4_calls(path.read_text()) == []
+    assert calls_of(path.read_text(), "pad4") == []
+
+
+@pytest.mark.parametrize("path", _outside("_interp"), ids=lambda p: p.name)
+def test_only_ops_calls_interp(path):
+    assert calls_of(path.read_text(), "_interp") == []
 
 
 # numpy calls that write into their first argument
@@ -335,31 +364,56 @@ def test_blocks_leave_shape_rules_to_the_network_and_ops(name):
     assert raising_forwards((PACKAGE / f"{name}.py").read_text()) == []
 
 
-def _called_name(func) -> str | None:
-    return getattr(func, "id", getattr(func, "attr", None))
+def _through_type(call) -> bool:
+    """Whether `call` is `type(obj).method(obj, ...)`, which passes `self`."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Call)
+        and _called_name(func.value.func) == "type"
+    )
 
 
 def call_sites(*sources: str) -> list[tuple[str, int, set[str] | None]]:
     """Every call in `sources` as (callee, positional count, keyword
     names); the keywords are None where a `*args` or `**kwargs` passes
     every parameter. The callee is the called name or attribute, except
-    that `cls(...)` inside a class calls that class, and a call to a class
-    without its own `__init__` calls its base's."""
+    that `cls(...)` inside a class calls that class, a call to a class
+    without its own `__init__` calls its base's, and a method called off
+    `type(obj)` is handed `obj` as its first positional. A call of a
+    module, a name assigned or annotated as an instance of a class with a
+    `forward`, is also a call of `forward`; the `forward` calls in
+    `__call__` only relay those module calls, so they pass nothing
+    themselves."""
     trees = [ast.parse(source) for source in sources]
     classes = {n.name: n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
 
-    def init_owner(name):
+    def owner(name, method):
+        """The class that `name`'s instances take `method` from, or None."""
         seen = set()  # a subclass may share its base's name
-        while name in classes and name not in seen and classes[name].bases and not any(
-            isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in classes[name].body
-        ):
+        while name in classes and name not in seen:
+            if any(isinstance(f, ast.FunctionDef) and f.name == method for f in classes[name].body):
+                return name
             seen.add(name)
-            name = _called_name(classes[name].bases[0])
-        return name
+            name = _called_name(classes[name].bases[0]) if classes[name].bases else None
+        return None
+
+    def init_owner(name):
+        return owner(name, "__init__") or name
+
+    modules = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if owner(_called_name(node.value.func), "forward"):
+                modules.update(_called_name(target) for target in node.targets)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            if any(owner(getattr(n, "id", None), "forward") for n in ast.walk(node.annotation)):
+                modules.add(node.arg)
+    modules.discard(None)
 
     calls = []
 
-    def visit(node, cls_name):
+    def visit(node, cls_name, fn_name):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 name = _called_name(child.func)
@@ -368,11 +422,19 @@ def call_sites(*sources: str) -> list[tuple[str, int, set[str] | None]]:
                     kw.arg is None for kw in child.keywords
                 )
                 keywords = None if spread else {kw.arg for kw in child.keywords}
-                calls.append((name, len(child.args), keywords))
-            visit(child, child.name if isinstance(child, ast.ClassDef) else cls_name)
+                count = len(child.args) - _through_type(child)
+                if not (name == "forward" and fn_name == "__call__"):
+                    calls.append((name, count, keywords))
+                if name in modules:
+                    calls.append(("forward", count, keywords))
+            visit(
+                child,
+                child.name if isinstance(child, ast.ClassDef) else cls_name,
+                child.name if isinstance(child, ast.FunctionDef) else fn_name,
+            )
 
     for tree in trees:
-        visit(tree, None)
+        visit(tree, None, None)
     return calls
 
 
@@ -439,8 +501,23 @@ def test_detects_a_default_no_call_passes():
         "def pack(*args, **kwargs):\n"
         "    Crate.empty(1, border=1)\n"
         "    Crate(2).lid(*args)\n"  # a subclass's constructor; `*args` passes every parameter
+        "\n"
+        "\n"
+        "class Layer:\n"
+        "    def __call__(self, *args, **kwargs):\n"
+        "        return self.forward(*args, **kwargs)\n"  # relays the module calls
+        "\n"
+        "\n"
+        "class Norm(Layer):\n"
+        "    def forward(self, x, out=None, eps=0):\n"
+        "        return x\n"
+        "\n"
+        "\n"
+        "def finish(y, norm: Norm | None):\n"
+        "    type(norm).forward(norm, y)\n"  # `norm` is `self`, so this passes `x` alone
+        "    return norm(y, eps=1)\n"  # a module call passes `forward`'s `eps`
     )
-    assert unpassed_defaults(source, call_sites(source)) == ["scale(offset)"]
+    assert unpassed_defaults(source, call_sites(source)) == ["scale(offset)", "Norm.forward(out)"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

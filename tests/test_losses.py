@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from s2fpn import Parameter, Tensor, ops, tape, using_dtype
-from s2fpn.augment import augment, resize_image, resize_label, rng_for_sample
+from s2fpn.augment import augment, resize_label, rng_for_sample
 from s2fpn.config import RunConfig
 from s2fpn.errors import DataError, ShapeError
 from s2fpn.losses import ohem_cross_entropy, total_loss
@@ -112,23 +112,25 @@ class TestOhem:
 
     @pytest.mark.parametrize("ignored", [0.0, 0.9, 1.0])
     def test_low_resolution_logits_equal_upsampling_first(self, ignored):
-        # the op's own resample is bilinear_upsample's arithmetic, forward
-        # and adjoint, down to the last bit
+        # the op's own resample is bilinear_upsample's, forward and adjoint,
+        # down to the last bit; at 512 input rows a dense GEMM would sum
+        # the rows in blocks and round some outputs differently
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((2, 5, 16, 32)) * 2
-        labels = rng.integers(0, 5, size=(2, 64, 128))
-        labels[rng.random(labels.shape) < ignored] = 255
+        for shape, (h, w) in [((2, 5, 16, 32), (64, 128)), ((1, 3, 512, 64), (640, 128))]:
+            x = rng.standard_normal(shape) * 2
+            labels = rng.integers(0, shape[1], size=(shape[0], h, w))
+            labels[rng.random(labels.shape) < ignored] = 255
 
-        def run(upsample_first):
-            leaf = Parameter(x.copy())
-            logits = ops.bilinear_upsample(leaf, 64, 128) if upsample_first else leaf
-            loss = ohem_cross_entropy(logits, labels, min_kept=100)
-            tape().backward(loss)
-            return loss.item(), leaf.grad
+            def run(upsample_first):
+                leaf = Parameter(x.copy())
+                logits = ops.bilinear_upsample(leaf, h, w) if upsample_first else leaf
+                loss = ohem_cross_entropy(logits, labels, min_kept=100)
+                tape().backward(loss)
+                return loss.item(), leaf.grad
 
-        (loss, grad), (ref_loss, ref_grad) = run(False), run(True)
-        assert loss == ref_loss
-        np.testing.assert_array_equal(grad, ref_grad)
+            (loss, grad), (ref_loss, ref_grad) = run(False), run(True)
+            assert loss == ref_loss, shape
+            np.testing.assert_array_equal(grad, ref_grad, err_msg=str(shape))
 
     @pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6), (2, 1, 4, 6)])
     def test_labels_must_be_batched_like_the_logits(self, shape):
@@ -325,11 +327,21 @@ class TestAugment:
 
     @pytest.mark.parametrize("scale", RunConfig().scales)
     def test_image_resize_matches_bilinear_oracle(self, scale):
-        image, _ = self.base_sample(seed=5)
+        image, label = self.base_sample(seed=5)
         out_h, out_w = round(16 * scale), round(24 * scale)
-        out = resize_image(image, out_h, out_w)
+        cfg = RunConfig(scales=(scale,), flip_prob=0.0, crop_h=out_h, crop_w=out_w)
+        out, _ = augment(image, label, np.random.default_rng(5), cfg)
         assert out.shape == (3, out_h, out_w) and out.dtype == np.float32
         np.testing.assert_allclose(out, bilinear_ref(image[None], out_h, out_w)[0], atol=1e-6)
+
+    def test_image_resize_is_the_ops_resample(self):
+        # bit for bit, also at 512 rows, where a dense GEMM over the input
+        # rows would sum them in blocks
+        image = np.random.default_rng(6).random((3, 512, 64), dtype=np.float32)
+        label = np.zeros((512, 64), dtype=np.int64)
+        cfg = RunConfig(scales=(1.25,), flip_prob=0.0, crop_h=640, crop_w=80)
+        out, _ = augment(image, label, np.random.default_rng(6), cfg)
+        np.testing.assert_array_equal(out, ops.bilinear_upsample(Tensor(image[None]), 640, 80).data[0])
 
     def test_nearest_label_resize_preserves_value_set(self):
         _, label = self.base_sample(seed=2)

@@ -14,6 +14,7 @@ from s2fpn.config import RunConfig
 from s2fpn.dataset import SegDataset
 from s2fpn.errors import DataError, ShapeError
 from s2fpn.model import S2FPN
+from s2fpn.nn import BatchNorm2d
 from s2fpn.synthetic import make_toy_corpus
 from s2fpn.trainer import Trainer
 
@@ -174,6 +175,17 @@ class TestEvalForward:
         # 0.9359 and 59.8028 GFLOP while eval still ran the aux heads
         total = count_flops(S2FPN("r18", 320, 19, seed=0), shape).total_flops
         assert round(total / 1e9, 4) == gflop
+
+    def test_each_batch_norm_is_counted_under_its_own_name(self):
+        # BN runs through Module.__call__, so the counter files its work
+        # under its dotted name rather than the block that calls it
+        model = S2FPN("r18", 320, 19, seed=0).eval()
+        norms = [name for name, m in model.named_modules() if isinstance(m, BatchNorm2d)]
+        with no_grad(), flop_counting(model) as counter:
+            model(Tensor(np.zeros((1, 3, 64, 128), dtype=np.float32)))
+        assert len(norms) == 40
+        assert all(counter.per_module.get(name, 0) > 0 for name in norms)
+        assert counter.per_module["backbone.stem_bn"] == 2 * 64 * 32 * 64  # 2 per element
 
     def test_stem_conv_and_bn_outputs_never_coexist(self):
         # the stem's BN and ReLU write into its conv's output, so the

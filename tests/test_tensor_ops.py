@@ -570,8 +570,8 @@ class TestBilinear:
     def test_banded_rows_bit_equal_to_the_dense_gemms(self, shape, out_hw):
         # each band's GEMM skips only zero products of the height matrix
         x = np.random.default_rng(11).standard_normal(shape).astype(np.float32)
-        mh = ops.interp_matrix(shape[2], out_hw[0], np.float32)
-        mw = ops.interp_matrix(shape[3], out_hw[1], np.float32)
+        mh = ops._interp(shape[2], out_hw[0], np.float32)[0]
+        mw = ops._interp(shape[3], out_hw[1], np.float32)[0]
         out = ops.bilinear_upsample(t(x), *out_hw)
         np.testing.assert_array_equal(out.data, mh @ (x @ mw.T))
 
